@@ -36,6 +36,8 @@ pub struct LinialOutcome {
     pub elimination_rounds: u32,
     /// Colors per node, as plain integers.
     pub colors: Vec<u32>,
+    /// The palette the run targeted: the announced `Δ + 1`.
+    pub palette: u32,
 }
 
 impl LinialOutcome {
@@ -45,12 +47,14 @@ impl LinialOutcome {
         self.reduction_rounds + self.elimination_rounds
     }
 
-    /// The outcome as a plain certifiable [`lcl_certify::Solution`]
-    /// against the `(Δ+1)`-palette the algorithm targets.
+    /// The outcome on `g` as a plain certifiable
+    /// [`lcl_certify::Solution`] against the palette the run targeted —
+    /// the announced `Δ + 1`, which on a component part exceeds the part's
+    /// own.
     #[must_use]
     pub fn solution(&self, g: &lcl_graph::Graph) -> lcl_certify::Solution {
-        let palette = g.max_degree().max(1) as u32 + 1;
-        lcl_certify::Solution::Coloring { colors: self.colors.clone(), palette: Some(palette) }
+        debug_assert_eq!(self.colors.len(), g.node_count(), "outcome of another graph");
+        lcl_certify::Solution::Coloring { colors: self.colors.clone(), palette: Some(self.palette) }
     }
 }
 
@@ -102,11 +106,14 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
         });
     }
     let n = g.node_count();
-    let delta = g.max_degree().max(1) as u64;
+    // The schedule depends only on the announced globals, so a component
+    // part runs exactly the rounds the whole network runs.
+    let delta = net.max_degree().max(1) as u64;
 
-    // Colors start as identifiers (unique ⇒ proper).
+    // Colors start as identifiers (unique ⇒ proper), in an id space of at
+    // least the announced `n`.
     let mut colors: Vec<u64> = g.nodes().map(|v| net.id_of(v)).collect();
-    let mut k: u64 = colors.iter().copied().max().unwrap_or(0) + 1;
+    let mut k: u64 = colors.iter().copied().max().unwrap_or(0).max(net.known_n() as u64) + 1;
     let mut reduction_rounds = 0;
 
     while let Some(q) = linial_prime(k, delta) {
@@ -158,8 +165,13 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
         |_| ColoringLabel::Blank,
         |_| ColoringLabel::Blank,
     );
-    let outcome =
-        LinialOutcome { labeling, reduction_rounds, elimination_rounds, colors: colors_u32 };
+    let outcome = LinialOutcome {
+        labeling,
+        reduction_rounds,
+        elimination_rounds,
+        colors: colors_u32,
+        palette: target as u32,
+    };
     if lcl_certify::enabled() {
         crate::error::self_certify(g, &outcome.solution(g));
     }

@@ -30,10 +30,7 @@
 use crate::error::AlgoError;
 use lcl_core::problems::MatchingLabel;
 use lcl_core::{assemble, Labeling, NodeLocalOutput};
-use lcl_local::{
-    run_rounds_sharded_with, run_rounds_with, Network, NodeCtx, NodeExecutor, RoundAlgorithm,
-    RoundOutcome, Sequential,
-};
+use lcl_local::{run_rounds_with, Network, NodeCtx, NodeExecutor, RoundAlgorithm, Sequential};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -301,49 +298,14 @@ pub fn try_run_with<X: NodeExecutor>(
     seed: u64,
     exec: &X,
 ) -> Result<DistributedMatchingOutcome, AlgoError> {
-    reject_self_loops(net)?;
-    let cap = round_cap(net);
-    assemble_outcome(net, run_rounds_with(net, &DistributedMatching, seed, cap, exec), cap)
-}
-
-/// [`try_run_with`] scheduled over **component shards**
-/// ([`run_rounds_sharded_with`]): the executor's work units are whole
-/// connected components, each simulated on shard-local scratch. The
-/// outcome is bit-identical to [`try_run`] — handshakes never cross a
-/// component boundary and node RNG streams key on preserved LOCAL ids.
-///
-/// # Errors
-///
-/// As [`try_run`].
-pub fn try_run_sharded_with<X: NodeExecutor>(
-    net: &Network,
-    seed: u64,
-    exec: &X,
-) -> Result<DistributedMatchingOutcome, AlgoError> {
-    reject_self_loops(net)?;
-    let cap = round_cap(net);
-    assemble_outcome(net, run_rounds_sharded_with(net, &DistributedMatching, seed, cap, exec), cap)
-}
-
-fn reject_self_loops(net: &Network) -> Result<(), AlgoError> {
     if net.graph().edges().any(|e| net.graph().is_self_loop(e)) {
         return Err(AlgoError::Unsolvable {
             algo: "matching-rounds",
             reason: "matching requires a loopless graph".into(),
         });
     }
-    Ok(())
-}
-
-fn round_cap(net: &Network) -> u32 {
-    40 * ((net.known_n().max(2) as f64).log2() as u32 + 4)
-}
-
-fn assemble_outcome(
-    net: &Network,
-    out: RoundOutcome<<DistributedMatching as RoundAlgorithm>::Output>,
-    cap: u32,
-) -> Result<DistributedMatchingOutcome, AlgoError> {
+    let cap = 40 * ((net.known_n().max(2) as f64).log2() as u32 + 4);
+    let out = run_rounds_with(net, &DistributedMatching, seed, cap, exec);
     if !out.trace.completed {
         return Err(AlgoError::RoundCapExceeded { algo: "matching-rounds", cap });
     }

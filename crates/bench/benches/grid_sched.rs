@@ -48,17 +48,16 @@ fn measure(cell: &Cell<&str>) -> Result<Vec<Row>, String> {
     }])
 }
 
-/// Wall-clock of one full grid pass under the given dispatch.
+/// Wall-clock of one full grid pass under the given dispatch (`None`:
+/// one single-cell group per cell, i.e. chunked claiming).
 fn pass(
     runner: &BatchRunner,
     cells: &[Cell<&'static str>],
     groups: Option<&[Vec<usize>]>,
 ) -> (String, Duration) {
+    let chunked: Vec<Vec<usize>> = (0..cells.len()).map(|i| vec![i]).collect();
     let t = Instant::now();
-    let run = match groups {
-        Some(g) => runner.try_run_groups(cells, g, measure),
-        None => runner.try_run_timed(cells, measure),
-    };
+    let run = runner.try_run_groups(cells, groups.unwrap_or(&chunked), measure);
     assert!(run.failures.is_empty());
     (run.report.render(true), t.elapsed())
 }

@@ -1,30 +1,30 @@
-//! Huge-graph acceptance bench: component-sharded execution must beat the
+//! Huge-graph acceptance bench: component-part execution must beat the
 //! pooled per-node path by ≥ 2× on a disconnected multi-component sweep.
 //!
-//! The workload is the regime huge-graph mode exists for: 256 components
-//! (half caterpillar forests, half random lifts of a cycle base) totaling
+//! The workload is the regime `--shard` exists for: 256 components (half
+//! caterpillar forests, half random lifts of a cycle base) totaling
 //! `n = 2²⁰` nodes, run through `luby_rounds`. The baseline is the
 //! engine's per-node executor path (`run_rounds_with` over the pool): it
 //! fans every round's frontier across workers, paying a synchronization
 //! barrier per round plus per-round cell staging, and its working set is
-//! the whole 2²⁰-node table. Component sharding
-//! (`run_rounds_sharded_with`) instead hands the pool whole components:
-//! each shard runs the lean sequential frontier engine on shard-local
-//! scratch sized to the shard, so a component's tables stay cache-hot for
-//! all of its rounds and no round-level synchronization exists at all.
+//! the whole 2²⁰-node table. The component split `scenarios run --shard`
+//! measures cells with (`lcl_local::map_components`) instead hands the
+//! pool whole components: each part runs the lean sequential frontier
+//! engine on scratch sized to the part, so a component's tables stay
+//! cache-hot for all of its rounds and no round-level synchronization
+//! exists at all.
 //!
-//! Identity is asserted before timing: sharded outputs, trace, and
-//! undecided list must be bit-identical to the unsharded engine on the
-//! exact instance being timed, or the comparison is meaningless.
+//! Identity is asserted before timing: the parts' outputs, stitched back
+//! in node order, and their max round count must be bit-identical to the
+//! unsharded engine on the exact instance being timed, or the comparison
+//! is meaningless.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcl_algos::luby_rounds::DistributedLuby;
 use lcl_bench::Parallel;
 use lcl_core::problems::MisLabel;
 use lcl_graph::{gen, Components, Graph};
-use lcl_local::{
-    run_rounds, run_rounds_sharded_with, run_rounds_with, IdAssignment, Network, RoundOutcome,
-};
+use lcl_local::{map_components, run_rounds, run_rounds_with, IdAssignment, Network, RoundOutcome};
 
 /// Total node budget of the acceptance sweep.
 const N_TOTAL: usize = 1 << 20;
@@ -54,19 +54,32 @@ fn network(parts: usize, part_n: usize) -> Network {
     Network::new(multi_component(parts, part_n, 11), IdAssignment::Shuffled { seed: 11 })
 }
 
-/// Digests an outcome so the work cannot be optimized out.
-fn digest(out: &RoundOutcome<(MisLabel, Option<usize>)>) -> usize {
-    assert!(out.trace.completed, "Luby must complete within the cap");
-    let in_set = out.outputs.iter().filter(|o| matches!(o, Some((MisLabel::InSet, _)))).count();
-    out.trace.rounds as usize + in_set
+type LubyOutcome = RoundOutcome<(MisLabel, Option<usize>)>;
+
+/// Digests outcomes so the work cannot be optimized out: the rounds of the
+/// slowest part plus the MIS size over all parts.
+fn digest(parts: &[LubyOutcome]) -> usize {
+    assert!(parts.iter().all(|p| p.trace.completed), "Luby must complete within the cap");
+    let in_set = |p: &LubyOutcome| {
+        p.outputs.iter().filter(|o| matches!(o, Some((MisLabel::InSet, _)))).count()
+    };
+    let rounds = parts.iter().map(|p| p.trace.rounds).max().unwrap_or(0);
+    rounds as usize + parts.iter().map(in_set).sum::<usize>()
 }
 
 fn run_unsharded(net: &Network, seed: u64) -> usize {
-    digest(&run_rounds_with(net, &DistributedLuby, seed, CAP, &Parallel))
+    digest(&[run_rounds_with(net, &DistributedLuby, seed, CAP, &Parallel)])
+}
+
+/// The component parts of `net`, each through the sequential engine,
+/// fanned across the pool.
+fn run_parts(net: &Network, seed: u64) -> (Components, Vec<LubyOutcome>) {
+    map_components(net, &Parallel, |part| run_rounds(part, &DistributedLuby, seed, CAP))
+        .expect("the sweep is multi-component")
 }
 
 fn run_sharded(net: &Network, seed: u64) -> usize {
-    digest(&run_rounds_sharded_with(net, &DistributedLuby, seed, CAP, &Parallel))
+    digest(&run_parts(net, seed).1)
 }
 
 fn bench_huge_graph(c: &mut Criterion) {
@@ -86,17 +99,26 @@ fn bench_huge_graph(c: &mut Criterion) {
 
     // The acceptance instance at full size.
     let net = network(PARTS, N_TOTAL / PARTS);
-    let comps = Components::new(net.graph());
-    assert!(comps.count() >= PARTS, "sweep must be genuinely multi-component");
+    assert!(
+        Components::new(net.graph()).count() >= PARTS,
+        "sweep must be genuinely multi-component"
+    );
     assert_eq!(net.len(), N_TOTAL);
 
-    // Identity first: sharded must be bit-identical to both engine paths
-    // on the exact instance being timed.
+    // Identity first: the parts must be bit-identical to both engine
+    // paths on the exact instance being timed.
     let plain = run_rounds(&net, &DistributedLuby, 7, CAP);
-    let sharded = run_rounds_sharded_with(&net, &DistributedLuby, 7, CAP, &Parallel);
-    assert_eq!(sharded.outputs, plain.outputs, "sharded run diverged from unsharded");
-    assert_eq!(sharded.trace, plain.trace, "sharded trace diverged from unsharded");
-    assert_eq!(sharded.undecided, plain.undecided);
+    let (comps, parts) = run_parts(&net, 7);
+    assert_eq!(comps.count(), parts.len());
+    for (c, part) in parts.iter().enumerate() {
+        for (out, &v) in part.outputs.iter().zip(comps.members(c)) {
+            assert_eq!(out, &plain.outputs[v.index()], "part {c} diverged from unsharded");
+        }
+        assert!(part.undecided.is_empty() && plain.undecided.is_empty());
+    }
+    let rounds = parts.iter().map(|p| p.trace.rounds).max();
+    assert_eq!(rounds, Some(plain.trace.rounds), "part rounds diverged from unsharded");
+    assert!(plain.trace.completed && parts.iter().all(|p| p.trace.completed));
     let pooled = run_rounds_with(&net, &DistributedLuby, 7, CAP, &Parallel);
     assert_eq!(pooled.outputs, plain.outputs, "pooled run diverged from unsharded");
     assert_eq!(pooled.trace, plain.trace);
@@ -136,7 +158,7 @@ fn bench_huge_graph(c: &mut Criterion) {
     }
     assert!(
         unsharded.as_secs_f64() >= 2.0 * sharded.as_secs_f64(),
-        "component-sharded execution must be >= 2x faster on the multi-component sweep: \
+        "component-part execution must be >= 2x faster on the multi-component sweep: \
          per-node pool {unsharded:?}, sharded {sharded:?}"
     );
 }

@@ -66,10 +66,12 @@ fn measure_whole(cell: &Cell<&str>) -> Result<Vec<Row>, String> {
     Ok(vec![row_for(cell)])
 }
 
-/// Wall-clock of one whole-cell pass (chunk claiming or sequential).
+/// Wall-clock of one whole-cell pass (chunk claiming or sequential): one
+/// single-cell group per cell.
 fn pass_whole(runner: &BatchRunner, cells: &[Cell<&'static str>]) -> (String, Duration) {
+    let chunked: Vec<Vec<usize>> = (0..cells.len()).map(|i| vec![i]).collect();
     let t = Instant::now();
-    let run = runner.try_run_timed(cells, measure_whole);
+    let run = runner.try_run_groups(cells, &chunked, measure_whole);
     assert!(run.failures.is_empty());
     (run.report.render(true), t.elapsed())
 }

@@ -268,58 +268,18 @@ impl BatchRunner {
         report
     }
 
-    /// Like [`BatchRunner::run`], but a cell may fail: failed cells
-    /// contribute no rows and come back as stable `(`[`CellKey`]`, error)`
-    /// pairs in cell order, so one pathological instance fails one cell
-    /// instead of panicking the shared worker pool — and the attribution
-    /// survives reordered (scheduled) execution.
-    pub fn try_run<F, M, E>(&self, cells: &[Cell<F>], measure: M) -> (Report, Vec<(CellKey, E)>)
-    where
-        F: FamilySlug + Sync,
-        E: Send,
-        M: Fn(&Cell<F>) -> Result<Vec<Row>, E> + Sync,
-    {
-        let run = self.try_run_timed(cells, measure);
-        (run.report, run.failures)
-    }
-
-    /// [`BatchRunner::try_run`] with per-cell wall-clock measurement: the
-    /// returned [`GridRun`] carries each cell's milliseconds alongside the
-    /// stitched report, so every run leaves cost-model training data.
-    /// Dispatch is the default chunked claiming (contiguous chunks of
-    /// `ceil(cells / workers)`); see [`BatchRunner::try_run_groups`] for
-    /// scheduled placement.
-    pub fn try_run_timed<F, M, E>(&self, cells: &[Cell<F>], measure: M) -> GridRun<E>
-    where
-        F: FamilySlug + Sync,
-        E: Send,
-        M: Fn(&Cell<F>) -> Result<Vec<Row>, E> + Sync,
-    {
-        let timed = |cell: &Cell<F>| {
-            let start = Instant::now();
-            let result = measure(cell);
-            (result, start.elapsed().as_secs_f64() * 1e3)
-        };
-        let per_cell: Vec<CellOutcome<E>> = if self.parallel {
-            cells.par_iter().map(timed).collect()
-        } else {
-            cells.iter().map(timed).collect()
-        };
-        stitch(cells, per_cell)
-    }
-
     /// Executes cells under an explicit worker assignment: `groups[w]`
     /// lists the cell indices worker `w` runs, in order, as **one** pool
-    /// job — the dispatch half of the grid scheduler (`crate::sched`).
-    /// Rows, failures, and timings are stitched back in canonical cell
-    /// order, so a scheduled run's report is byte-identical to a `--seq`
-    /// run's no matter how cells were placed.
+    /// job — [`BatchRunner::try_run_parts`] with one part per cell, so a
+    /// failed cell contributes no rows and comes back as a stable
+    /// `(`[`CellKey`]`, error)` pair, and rows, failures, and timings are
+    /// stitched back in canonical cell order: byte-identical to a `--seq`
+    /// run no matter how cells were placed. One single-cell group per cell
+    /// is the pool's plain chunked claiming.
     ///
     /// # Panics
     ///
-    /// Panics unless `groups` is a partition of `0..cells.len()` — a
-    /// schedule that drops or duplicates a cell is a planner bug and must
-    /// fail loudly, not silently corrupt the report.
+    /// Panics unless `groups` is a partition of `0..cells.len()`.
     pub fn try_run_groups<F, M, E>(
         &self,
         cells: &[Cell<F>],
@@ -331,95 +291,63 @@ impl BatchRunner {
         E: Send,
         M: Fn(&Cell<F>) -> Result<Vec<Row>, E> + Sync,
     {
-        let mut seen = vec![false; cells.len()];
-        for g in groups {
-            for &i in g {
-                assert!(
-                    i < cells.len(),
-                    "schedule names cell {i} outside the {}-cell grid",
-                    cells.len()
-                );
-                assert!(!seen[i], "schedule assigns cell {i} twice");
-                seen[i] = true;
-            }
-        }
-        let missing = seen.iter().filter(|&&s| !s).count();
-        assert_eq!(missing, 0, "schedule leaves {missing} cell(s) unassigned");
-
-        let run_group = |group: &Vec<usize>| -> Vec<(usize, CellOutcome<E>)> {
-            group
-                .iter()
-                .map(|&i| {
-                    let start = Instant::now();
-                    let result = measure(&cells[i]);
-                    (i, (result, start.elapsed().as_secs_f64() * 1e3))
-                })
-                .collect()
-        };
-        // One pool job per group: with `groups.len()` jobs over
-        // `groups.len()` workers, the chunk-claiming pool hands each
-        // worker exactly one group.
-        let per_group: Vec<Vec<(usize, CellOutcome<E>)>> = if self.parallel {
-            groups.par_iter().map(run_group).collect()
-        } else {
-            groups.iter().map(run_group).collect()
-        };
-        // Scatter back into canonical cell order.
-        let mut slots: Vec<Option<CellOutcome<E>>> = (0..cells.len()).map(|_| None).collect();
-        for (i, outcome) in per_group.into_iter().flatten() {
-            slots[i] = Some(outcome);
-        }
-        let per_cell: Vec<CellOutcome<E>> =
-            slots.into_iter().map(|s| s.expect("partition checked above")).collect();
-        stitch(cells, per_cell)
+        let one_part = vec![1; cells.len()];
+        let measure = |cell: usize, _part: usize| measure(&cells[cell]);
+        self.try_run_parts(cells, &one_part, groups, measure, |_, mut rows| {
+            Ok(rows.pop().expect("one part per cell"))
+        })
     }
 
-    /// Scheduled dispatch where a cell may consist of several independent
-    /// **parts** (the component shards of a store-backed huge cell; small
+    /// Scheduled dispatch where a cell consists of one or more independent
+    /// **parts** (the component shards of a store-backed huge cell; other
     /// cells are single-part). Parts are the schedulable unit: item `j` of
     /// the flattened cell-major list — parts `0..parts_per_cell[0]` of cell
-    /// 0 first, then cell 1's, and so on — may land on any worker, so one
-    /// huge cell's shards spread across the pool alongside whole small
-    /// cells. `measure_part(cell, part)` runs one part; once all of a
-    /// cell's parts are back, `assemble(cell, parts)` folds them (in part
-    /// order) into the cell's rows on the stitching thread.
+    /// 0 first, then cell 1's, and so on — may land on any worker, and
+    /// `groups[w]` lists the items worker `w` runs, in order, as **one**
+    /// pool job (the dispatch half of the grid scheduler, `crate::sched`).
+    /// `measure_part(cell, part)` runs one part; once all of a cell's parts
+    /// are back, `assemble(cell, parts)` folds them (in part order) into
+    /// the cell's rows on the stitching thread.
     ///
     /// A cell's wall-clock charge is the **sum** of its parts' times plus
     /// assembly — comparable to what the cell would cost unsplit, which is
     /// what the scheduler's cost model wants to learn. If any part fails,
     /// the lowest-indexed error becomes the cell's error (remaining parts
-    /// still run; they may share a worker with other cells' work) and
-    /// `assemble` is skipped. Rows, failures, and timings come back in
-    /// canonical cell order, byte-identical to a sequential in-cell run.
+    /// still run) and `assemble` is skipped; failed cells contribute no
+    /// rows and are keyed by their stable [`CellKey`], so one pathological
+    /// instance fails one cell instead of panicking the shared pool. Rows,
+    /// failures, and timings come back in canonical cell order,
+    /// byte-identical to a sequential in-cell run.
     ///
     /// # Panics
     ///
     /// Panics if `parts_per_cell` has the wrong length or a zero entry, or
-    /// unless `groups` is a partition of the flattened item indices.
+    /// unless `groups` is a partition of the flattened item indices — a
+    /// schedule that drops or duplicates an item is a planner bug and must
+    /// fail loudly, not silently corrupt the report.
     pub fn try_run_parts<F, P, MP, A, E>(
         &self,
         cells: &[Cell<F>],
         parts_per_cell: &[usize],
         groups: &[Vec<usize>],
         measure_part: MP,
-        assemble: A,
+        mut assemble: A,
     ) -> GridRun<E>
     where
         F: FamilySlug + Sync,
         P: Send,
         E: Send,
         MP: Fn(usize, usize) -> Result<P, E> + Sync,
-        A: Fn(usize, Vec<P>) -> Result<Vec<Row>, E>,
+        A: FnMut(usize, Vec<P>) -> Result<Vec<Row>, E>,
     {
         assert_eq!(parts_per_cell.len(), cells.len(), "one part count per cell required");
         assert!(parts_per_cell.iter().all(|&p| p >= 1), "every cell needs at least one part");
         // Flatten cell-major: items[j] = (cell, part).
-        let mut items: Vec<(usize, usize)> = Vec::with_capacity(parts_per_cell.iter().sum());
-        for (cell, &parts) in parts_per_cell.iter().enumerate() {
-            for part in 0..parts {
-                items.push((cell, part));
-            }
-        }
+        let items: Vec<(usize, usize)> = parts_per_cell
+            .iter()
+            .enumerate()
+            .flat_map(|(cell, &parts)| (0..parts).map(move |part| (cell, part)))
+            .collect();
         let mut seen = vec![false; items.len()];
         for g in groups {
             for &j in g {
@@ -447,6 +375,9 @@ impl BatchRunner {
                 })
                 .collect()
         };
+        // One pool job per group: with `groups.len()` jobs over
+        // `groups.len()` workers, the chunk-claiming pool hands each
+        // worker exactly one group.
         let per_group: Vec<Vec<(usize, PartOutcome<P, E>)>> = if self.parallel {
             groups.par_iter().map(run_group).collect()
         } else {
@@ -457,8 +388,8 @@ impl BatchRunner {
             slots[j] = Some(outcome);
         }
 
-        // Fold each cell's parts, in part order, then assemble.
-        let mut per_cell: Vec<CellOutcome<E>> = Vec::with_capacity(cells.len());
+        // Fold each cell's parts, in part order, then assemble and stitch.
+        let mut run = GridRun { report: Report::new(), failures: Vec::new(), cell_ms: Vec::new() };
         let mut slot_iter = slots.into_iter();
         for (cell, &parts) in parts_per_cell.iter().enumerate() {
             let mut ms = 0.0;
@@ -483,35 +414,14 @@ impl BatchRunner {
                     rows
                 }
             };
-            per_cell.push((outcome, ms));
-        }
-        stitch(cells, per_cell)
-    }
-}
-
-/// One executed cell's measurement outcome paired with its wall time in
-/// milliseconds.
-type CellOutcome<E> = (Result<Vec<Row>, E>, f64);
-
-/// Stitches per-cell outcomes (already in canonical cell order) into a
-/// [`GridRun`]: rows concatenate in cell order, failures carry stable
-/// keys, timings stay cell-indexed.
-fn stitch<F: FamilySlug, E>(cells: &[Cell<F>], per_cell: Vec<CellOutcome<E>>) -> GridRun<E> {
-    let mut report = Report::new();
-    let mut failures = Vec::new();
-    let mut cell_ms = Vec::with_capacity(per_cell.len());
-    for (cell, (result, ms)) in cells.iter().zip(per_cell) {
-        cell_ms.push(ms);
-        match result {
-            Ok(rows) => {
-                for row in rows {
-                    report.push(row);
-                }
+            run.cell_ms.push(ms);
+            match outcome {
+                Ok(rows) => rows.into_iter().for_each(|row| run.report.push(row)),
+                Err(e) => run.failures.push((cells[cell].key(), e)),
             }
-            Err(e) => failures.push((cell.key(), e)),
         }
+        run
     }
-    GridRun { report, failures, cell_ms }
 }
 
 #[cfg(test)]
@@ -565,11 +475,14 @@ mod tests {
                 }])
             }
         };
-        let (seq, seq_fail) = BatchRunner::sequential().try_run(&cells, measure);
-        let (par, par_fail) = BatchRunner::parallel().try_run(&cells, measure);
-        assert_eq!(seq.render(true), par.render(true));
+        // One single-cell group per cell: plain chunked claiming.
+        let groups: Vec<Vec<usize>> = (0..cells.len()).map(|i| vec![i]).collect();
+        let seq = BatchRunner::sequential().try_run_groups(&cells, &groups, measure);
+        let par = BatchRunner::parallel().try_run_groups(&cells, &groups, measure);
+        assert_eq!(seq.report.render(true), par.report.render(true));
+        let (seq_fail, par_fail) = (seq.failures, par.failures);
         assert_eq!(seq_fail, par_fail);
-        assert_eq!(seq.rows().len(), 2);
+        assert_eq!(seq.report.rows().len(), 2);
         // Failures carry the stable (family, n, seed) key, in cell order.
         assert_eq!(
             seq_fail,
@@ -594,7 +507,7 @@ mod tests {
                 extra: Vec::new(),
             }])
         };
-        let run = BatchRunner::sequential().try_run_timed(&cells, measure);
+        let run = BatchRunner::sequential().try_run_groups(&cells, &[vec![0, 1, 2, 3]], measure);
         assert!(run.failures.is_empty());
         assert_eq!(run.cell_ms.len(), cells.len());
         assert!(run.cell_ms.iter().all(|&ms| ms >= 0.0));
@@ -618,7 +531,9 @@ mod tests {
                 }])
             }
         };
-        let (plain, plain_fail) = BatchRunner::sequential().try_run(&cells, measure);
+        let in_order = [(0..cells.len()).collect::<Vec<_>>()];
+        let plain_run = BatchRunner::sequential().try_run_groups(&cells, &in_order, measure);
+        let (plain, plain_fail) = (plain_run.report, plain_run.failures);
         // A deliberately scrambled partition: reversed and interleaved.
         let groups = vec![vec![7, 3], vec![6, 1, 0], vec![5, 2, 4]];
         for runner in [BatchRunner::sequential(), BatchRunner::parallel()] {

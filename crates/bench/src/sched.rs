@@ -19,10 +19,11 @@
 //!    (two-choice balanced allocation à la Benjamini–Makarychev), then run
 //!    a greedy local-search pass moving cells off the makespan-defining
 //!    worker while that strictly helps.
-//! 3. **Dispatch** — `BatchRunner::try_run_groups` executes each worker's
-//!    cell list as one pool job and stitches rows back in canonical cell
-//!    order, so a scheduled run's output is byte-identical to `--seq`
-//!    no matter what order cells actually ran in.
+//! 3. **Dispatch** — `BatchRunner::try_run_parts` executes each worker's
+//!    item list (whole cells, or the shards of a store-backed cell) as one
+//!    pool job and stitches rows back in canonical cell order, so a
+//!    scheduled run's output is byte-identical to `--seq` no matter what
+//!    order items actually ran in.
 //!
 //! Everything here is deterministic in its inputs: same costs, same
 //! worker count → same schedule, so CI can pin placements exactly.

@@ -1,9 +1,9 @@
 //! The sharded snapshot store: a directory of per-component `.lclg`
 //! images plus a content-hashed `shards.json` manifest.
 //!
-//! A huge instance rarely needs to be mapped whole: the round engines
-//! already execute connected components independently
-//! (`lcl_local::run_rounds_sharded*`), so the store splits the stream of
+//! A huge instance rarely needs to be mapped whole: every closed
+//! sub-instance runs as its own part, bit-identically
+//! (`lcl_local::map_components`), so the store splits the stream of
 //! construction events into per-component frozen images **while
 //! generating** — union-find over the node ids, one global edge spill,
 //! then a routing replay that materializes each shard as a standard

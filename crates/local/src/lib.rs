@@ -57,7 +57,7 @@ pub use rounds::{
     run_rounds, run_rounds_dense, run_rounds_dense_with, run_rounds_with, NodeCtx, RoundAlgorithm,
     RoundOutcome,
 };
-pub use shard::{run_rounds_sharded, run_rounds_sharded_with};
+pub use shard::map_components;
 pub use trace::{LocalityTrace, RoundTrace};
 pub use views::{
     rand_word, run_views, run_views_capped, run_views_capped_with, run_views_with, Decision, View,

@@ -1,133 +1,69 @@
-//! Component-sharded round execution: the huge-graph scheduling mode.
+//! Component parts: a network split into its connected components.
 //!
 //! A connected component is a closed system under the LOCAL model — no
 //! message ever crosses a component boundary, and a node's behavior
 //! depends only on its component, its LOCAL id, and the announced
-//! globals `(n, Δ)`. [`run_rounds_sharded`] exploits this: the flat
-//! [`Components`] pass partitions the graph, the worker pool claims
-//! **whole components** as work units, and each shard runs the
-//! event-driven sparse engine ([`crate::run_rounds`]) on its own induced
-//! subgraph with **shard-local scratch** — its own `RouteArena`,
-//! `ActiveSet`, and (for view-based protocols run per shard) ball
-//! caches — so shards share nothing and need no synchronization. This
-//! subsumes the long-standing "share the ball cache across workers"
-//! item: shard-local caches are contention-free by construction.
+//! globals `(n, Δ)`. [`map_components`] exploits this: the flat
+//! [`Components`] pass partitions the graph, each component is carved out
+//! in O(component) ([`Components::extract`]) as its own **part network**,
+//! and the executor's work items are whole components, each run on
+//! scratch sized to it — so parts share nothing and need no
+//! synchronization, and a part's tables stay cache-hot for all its rounds.
 //!
-//! Two facts make sharded output **bit-identical** to an unsharded run:
+//! Two facts make any algorithm's output on a part **bit-identical** to
+//! the whole run's output on the same nodes:
 //!
 //! * node RNG streams are counter-mode, seeded from `(run seed, LOCAL
-//!   id)` — the shard carries the original ids, so every node draws the
-//!   exact same randomness;
-//! * shard networks announce the *global* `n` and `Δ`
+//!   id)` — a part carries its members' original ids, so every node draws
+//!   the exact same randomness;
+//! * a part announces the whole network's `(n, Δ)`
 //!   ([`Network::with_known_n`], [`Network::with_announced_max_degree`]),
-//!   and [`Components::extract`] preserves per-node port order (it builds
-//!   exactly the graph [`lcl_graph::Graph::induced_subgraph`] would, in
-//!   O(shard) time), so every [`crate::NodeCtx`] and inbox is identical.
+//!   and `extract` preserves per-node port order (it builds exactly the
+//!   graph [`lcl_graph::Graph::induced_subgraph`] would), so every
+//!   [`crate::NodeCtx`] and inbox is identical.
 //!
-//! Outputs are stitched back in node order; the trace is the exact
-//! trace of the unsharded engine (`rounds` is the max over shards —
-//! the global engine runs until its slowest component settles, and a
-//! shard that hits the cap or goes quiescent-undecided reports the cap,
-//! exactly as the global engine would).
+//! The whole run's round count is the max over parts: it runs until its
+//! slowest component settles, and a part that hits the cap reports the
+//! cap, exactly as the whole run would.
 
 use crate::exec::NodeExecutor;
 use crate::network::Network;
-use crate::rounds::{run_rounds, run_rounds_with, RoundAlgorithm, RoundOutcome};
-use crate::trace::RoundTrace;
 use lcl_graph::Components;
 
-/// [`crate::run_rounds`] over component shards, sequentially. Bit-identical
-/// outputs, trace, and undecided list; see the module docs.
-pub fn run_rounds_sharded<A>(
-    net: &Network,
-    alg: &A,
-    seed: u64,
-    max_rounds: u32,
-) -> RoundOutcome<A::Output>
+/// Runs `f` on every connected component of `net` as a closed part
+/// network — its members' ids, `net`'s announced `(n, Δ)` — fanning the
+/// components across `exec`. Returns the partition with the results in
+/// component order (node `k` of part `c` is `comps.members(c)[k]`), or
+/// `None` when `net` is connected: its one part is `net` itself, which a
+/// caller measures in place rather than copying.
+pub fn map_components<T, F, X>(net: &Network, exec: &X, f: F) -> Option<(Components, Vec<T>)>
 where
-    A: RoundAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-    A::Output: Clone + Send,
-{
-    run_rounds_sharded_with(net, alg, seed, max_rounds, &crate::exec::Sequential)
-}
-
-/// [`run_rounds_sharded`] with a pluggable [`NodeExecutor`]: the executor's
-/// work items are **components**, not nodes — each shard's interior runs
-/// the sequential sparse engine on shard-local scratch sized to the shard,
-/// which is both the parallelism (shards across the pool) and the locality
-/// win (a shard's frontier walks stay in cache instead of striding a
-/// 2²⁰-node table).
-///
-/// On a connected graph this degrades gracefully to the unsharded
-/// [`run_rounds_with`] (one shard would serialize anyway; per-node
-/// parallelism is the better use of the executor).
-pub fn run_rounds_sharded_with<A, X>(
-    net: &Network,
-    alg: &A,
-    seed: u64,
-    max_rounds: u32,
-    exec: &X,
-) -> RoundOutcome<A::Output>
-where
-    A: RoundAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
-    A::Output: Clone + Send,
+    T: Send,
+    F: Fn(&Network) -> T + Sync,
     X: NodeExecutor,
 {
     let g = net.graph();
     let comps = Components::new(g);
     if comps.is_connected() {
-        return run_rounds_with(net, alg, seed, max_rounds, exec);
+        return None;
     }
-    let outcomes: Vec<RoundOutcome<A::Output>> = exec.map_nodes(comps.count(), |c| {
-        let members = comps.members(c);
-        // `extract` is the O(shard) equivalent of `induced_subgraph` —
-        // carving all shards costs one pass over the graph total, so shard
-        // setup cannot swamp the engine work it parallelizes.
-        let sub = comps.extract(g, c);
-        let ids: Vec<u64> = members.iter().map(|&v| net.id_of(v)).collect();
-        let shard_net = Network::with_ids(sub, ids)
+    let out = exec.map_nodes(comps.count(), |c| {
+        let ids = comps.members(c).iter().map(|&v| net.id_of(v)).collect();
+        let part = Network::with_ids(comps.extract(g, c), ids)
             .with_known_n(net.known_n())
             .with_announced_max_degree(net.max_degree());
-        run_rounds(&shard_net, alg, seed, max_rounds)
+        f(&part)
     });
-
-    // Stitch in node order. The trace is the unsharded engine's exactly:
-    // it executes rounds until its slowest component settles (or spins to
-    // the cap when any component never settles — which that component's
-    // shard reports as `max_rounds` via the same cap/fast-forward paths).
-    let mut outputs: Vec<Option<A::Output>> = vec![None; g.node_count()];
-    let mut rounds = 0;
-    let mut completed = true;
-    for (c, outcome) in outcomes.into_iter().enumerate() {
-        rounds = rounds.max(outcome.trace.rounds);
-        completed &= outcome.trace.completed;
-        for (slot, &v) in outcome.outputs.into_iter().zip(comps.members(c)) {
-            outputs[v.index()] = slot;
-        }
-    }
-    let undecided = outputs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| {
-            if o.is_none() {
-                Some((i, net.id_of(lcl_graph::NodeId(i as u32))))
-            } else {
-                None
-            }
-        })
-        .collect();
-    RoundOutcome { outputs, trace: RoundTrace { rounds, completed }, undecided }
+    Some((comps, out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Sequential;
     use crate::network::IdAssignment;
-    use crate::rounds::NodeCtx;
+    use crate::rounds::{run_rounds, NodeCtx, RoundAlgorithm, RoundOutcome};
+    use crate::trace::RoundTrace;
     use lcl_graph::gen;
     use rand_chacha::ChaCha8Rng;
 
@@ -174,6 +110,29 @@ mod tests {
         }
     }
 
+    /// The round engine per component part, stitched back in node order
+    /// into the outcome the whole run reports — `None` for a connected
+    /// network.
+    fn run_parts<A>(net: &Network, alg: &A, seed: u64, cap: u32) -> Option<RoundOutcome<A::Output>>
+    where
+        A: RoundAlgorithm + Sync,
+        A::Output: Clone + Send,
+    {
+        let (comps, parts) = map_components(net, &Sequential, |p| run_rounds(p, alg, seed, cap))?;
+        let mut outputs = vec![None; net.len()];
+        let mut trace = RoundTrace { rounds: 0, completed: true };
+        for (c, part) in parts.into_iter().enumerate() {
+            trace.rounds = trace.rounds.max(part.trace.rounds);
+            trace.completed &= part.trace.completed;
+            for (out, &v) in part.outputs.into_iter().zip(comps.members(c)) {
+                outputs[v.index()] = out;
+            }
+        }
+        let undecided =
+            (0..net.len()).filter(|&i| outputs[i].is_none()).map(|i| (i, net.ids()[i])).collect();
+        Some(RoundOutcome { outputs, trace, undecided })
+    }
+
     fn disconnected_zoo() -> Vec<lcl_graph::Graph> {
         let mut forest = gen::cycle(7);
         forest.append(&gen::path(5));
@@ -187,12 +146,16 @@ mod tests {
     #[test]
     fn sharded_matches_unsharded_exactly() {
         for (k, g) in disconnected_zoo().into_iter().enumerate() {
+            let connected = Components::new(&g).is_connected();
             let net = Network::new(g, IdAssignment::Shuffled { seed: k as u64 + 1 });
             let plain = run_rounds(&net, &FloodMax, 7, 500);
-            let sharded = run_rounds_sharded(&net, &FloodMax, 7, 500);
-            assert_eq!(sharded.outputs, plain.outputs, "graph {k}");
-            assert_eq!(sharded.trace, plain.trace, "graph {k}");
-            assert_eq!(sharded.undecided, plain.undecided, "graph {k}");
+            let Some(parts) = run_parts(&net, &FloodMax, 7, 500) else {
+                assert!(connected, "graph {k}: a disconnected network must split");
+                continue;
+            };
+            assert_eq!(parts.outputs, plain.outputs, "graph {k}");
+            assert_eq!(parts.trace, plain.trace, "graph {k}");
+            assert_eq!(parts.undecided, plain.undecided, "graph {k}");
         }
     }
 
@@ -203,16 +166,16 @@ mod tests {
         g.append(&gen::path(30));
         let net = Network::new(g, IdAssignment::Sequential);
         let plain = run_rounds(&net, &FloodMax, 0, 8);
-        let sharded = run_rounds_sharded(&net, &FloodMax, 0, 8);
-        assert!(!sharded.trace.completed);
-        assert_eq!(sharded.trace, plain.trace);
-        assert_eq!(sharded.outputs, plain.outputs);
-        assert_eq!(sharded.undecided, plain.undecided);
+        let parts = run_parts(&net, &FloodMax, 0, 8).expect("two components");
+        assert!(!parts.trace.completed);
+        assert_eq!(parts.trace, plain.trace);
+        assert_eq!(parts.outputs, plain.outputs);
+        assert_eq!(parts.undecided, plain.undecided);
     }
 
     #[test]
     fn announced_globals_reach_every_shard() {
-        /// Outputs the announced `(n, Δ)` — shards must see the global
+        /// Outputs the announced `(n, Δ)` — parts must see the global
         /// values, not their own component's.
         struct Announce;
         impl RoundAlgorithm for Announce {
@@ -240,8 +203,13 @@ mod tests {
         let mut g = gen::star(5); // Δ = 5 lives in component 0
         g.append(&gen::path(3));
         let net = Network::new(g, IdAssignment::Sequential).with_known_n(100);
-        let out = run_rounds_sharded(&net, &Announce, 0, 4);
-        for o in out.into_outputs() {
+        let (comps, parts) = map_components(&net, &Sequential, |p| {
+            assert_eq!((p.known_n(), p.max_degree()), (100, 5));
+            run_rounds(p, &Announce, 0, 4).into_outputs()
+        })
+        .expect("two components");
+        assert_eq!(comps.count(), 2);
+        for o in parts.into_iter().flatten() {
             assert_eq!(o, (100, 5));
         }
     }

@@ -17,8 +17,10 @@
 //! meta. `--certify` re-checks every algorithm output with the
 //! independent `lcl_certify` checkers before accepting its row; failed
 //! cells are reported individually and the process exits nonzero.
-//! `--shard` routes the round-engine algorithms through component-sharded
-//! execution (bit-identical rows; the pool claims whole components).
+//! `--shard` measures every in-memory cell by connected component: each
+//! component is a part network carrying the cell's ids and `(n, Δ)`, and
+//! the cell's executor claims whole components, for every algorithm
+//! (bit-identical rows).
 //! Pooled runs are placed by the cost-model grid scheduler by default:
 //! per-cell costs predicted from persisted timing history (static
 //! degree-weighted estimates until history exists) drive a
@@ -31,16 +33,18 @@
 //! frozen snapshots keyed by `(family, knobs, n, seed)` — cache hits map
 //! the graph back in instead of re-generating it, with a hit/miss note on
 //! stderr. With both `--shard` and a snapshot dir, cells above
-//! `--huge-threshold N` nodes (or `LCL_HUGE_THRESHOLD`; default `2^20`)
-//! are streamed into per-component sharded stores and measured shard by
-//! shard — the instance is never materialized whole, and the shards enter
-//! the scheduler pool as individual work items next to the small cells.
+//! `--huge-threshold N` nodes (default `2^20`) are streamed into
+//! per-component sharded stores and measured shard by shard — the
+//! instance is never materialized whole, and the shards enter the
+//! scheduler pool as individual work items next to the small cells.
+//! A `--huge-threshold` that is not a node count or a snapshot dir that
+//! cannot be created is rejected up front: one line on stderr, exit 2.
 //! Specs resolve from `--spec-dir` (default `scenarios/`) first,
 //! then the built-in presets; a file spec shadows a builtin of the same
 //! name.
 
 use lcl_bench::CliOpts;
-use lcl_scenario::{catalog, expand, experiment_name, run_spec, ScenarioSpec};
+use lcl_scenario::{catalog, expand, experiment_name, run_spec, MeasureOpts, ScenarioSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -141,7 +145,9 @@ fn cmd_describe(dir: &std::path::Path, name: &str, quick: bool) -> ExitCode {
 }
 
 fn cmd_run(dir: &std::path::Path, name: &str, opts: &CliOpts) -> ExitCode {
-    let spec = match resolve(dir, name) {
+    // Bad run options are rejected before any cell runs: `run_spec` would
+    // only fail every cell with the same message.
+    let spec = match resolve(dir, name).and_then(|spec| MeasureOpts::from_cli(opts).map(|_| spec)) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("scenarios: {e}");

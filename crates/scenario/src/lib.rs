@@ -38,9 +38,8 @@ pub mod verify;
 pub use cache::SnapshotCache;
 pub use catalog::{builtins, catalog, find, load_dir, DEFAULT_SPEC_DIR};
 pub use run::{
-    expand, experiment_name, measure_cell, run_spec, schedule_for, try_measure_cell,
-    try_measure_cell_full, try_measure_cell_store, CellError, CellMeasurement, MeasureOpts,
-    EXPERIMENT_ID,
+    expand, experiment_name, run_spec, schedule_for, try_measure_cell_full, try_measure_cell_store,
+    CellError, CellMeasurement, MeasureOpts, EXPERIMENT_ID,
 };
 pub use spec::{AlgoSpec, FamilySpec, ScenarioSpec, SpecError};
 pub use verify::{verify_run, RowViolation, VerifiedRun};

@@ -1,4 +1,4 @@
-//! Scenario execution: spec → grid → [`lcl_bench::BatchRunner`] → rows.
+//! Scenario execution: spec → grid → parts → [`lcl_bench::BatchRunner`] → rows.
 //!
 //! A scenario run is the same deterministic pipeline every experiment
 //! binary uses — independent `(family, n, seed)` cells fanned across the
@@ -6,17 +6,27 @@
 //! [`lcl_local::NodeExecutor`] — so a pooled run's report and persisted
 //! `rows.jsonl` are byte-identical to a `--seq` run's (gated in CI).
 //!
-//! Pooled runs are placed by the cost-model grid scheduler by default
-//! (`lcl_bench::sched`): per-cell costs predicted from persisted timing
-//! history (static degree-weighted estimates when there is none) drive a
-//! makespan-balanced worker assignment, dispatched through
-//! `BatchRunner::try_run_groups` — output bytes are unaffected because
-//! rows are stitched back in canonical cell order. Every run, scheduled
-//! or not, records per-cell wall clock into the manifest meta
-//! (`cell_ms:<family>:<n>:<seed>`), which is exactly the history the next
-//! run's model trains on; scheduled runs additionally record
-//! `predicted_ms:`/`actual_ms:` pairs so `results show` can report how
-//! wrong the model was. `--no-sched` restores chunked claiming,
+//! Every cell is measured as a list of **parts**, and every part the same
+//! way ([`measure_part`], the one algorithm dispatch): a part is a
+//! [`Network`] over a closed sub-instance that carries the cell's global
+//! ids and announced `(n, Δ)`. It is the whole instance; or, under
+//! `--shard`, one connected component ([`lcl_local::map_components`],
+//! fanned across the executor inside the cell's work item); or one shard
+//! of a published sharded snapshot, which is then its own work item. No
+//! algorithm can tell the difference, so one fold turns the parts into
+//! the cell's rows — rounds are the max, counts sum, palettes unite.
+//!
+//! Work items are placed by the cost-model grid scheduler
+//! (`lcl_bench::sched`) in pooled runs by default: per-item costs
+//! predicted from persisted timing history (static degree-weighted
+//! estimates when there is none) drive a makespan-balanced worker
+//! assignment, dispatched through `BatchRunner::try_run_parts` — output
+//! bytes are unaffected because rows are stitched back in canonical cell
+//! order. Every run, scheduled or not, records per-cell wall clock into
+//! the manifest meta (`cell_ms:<family>:<n>:<seed>`), which is exactly the
+//! history the next run's model trains on; scheduled runs additionally
+//! record `predicted_ms:`/`actual_ms:` pairs so `results show` can report
+//! how wrong the model was. `--no-sched` restores chunked claiming,
 //! `--sched` forces planning even under `--seq` (the plan is still
 //! executed on one thread, but predictions land in the manifest).
 
@@ -28,12 +38,10 @@ use lcl_bench::{
 };
 use lcl_core::problems::{MatchingLabel, MisLabel};
 use lcl_graph::ShardedSnapshot;
-use lcl_local::{assigned_ids, IdAssignment, Network};
+use lcl_local::{assigned_ids, map_components, IdAssignment, Network, NodeExecutor, Sequential};
 use lcl_report::{bench_history, cost_history, RunStore};
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Experiment id stamped on every scenario row (the run-store directory
 /// carries the scenario name: `scenario-<name>`).
@@ -55,6 +63,12 @@ pub struct CellError {
     pub detail: String,
 }
 
+impl CellError {
+    fn new(cell: &Cell<FamilySpec>, detail: String) -> CellError {
+        CellError { family: cell.family.slug(), n: cell.n, seed: cell.seed, detail }
+    }
+}
+
 impl fmt::Display for CellError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at n={} seed={}: {}", self.family, self.n, self.seed, self.detail)
@@ -63,16 +77,16 @@ impl fmt::Display for CellError {
 
 /// How cells are measured, beyond the executor: the switches `run_spec`
 /// derives from the CLI surface (`--certify`, `--shard`,
-/// `--snapshot-dir` / `LCL_SNAPSHOT_DIR`, `LCL_HUGE_THRESHOLD`).
+/// `--snapshot-dir` / `LCL_SNAPSHOT_DIR`, `--huge-threshold`).
 #[derive(Debug)]
 pub struct MeasureOpts {
     /// Re-check every algorithm output with the independent `lcl_certify`
     /// checkers before accepting its row.
     pub certify: bool,
-    /// Route the round-engine algorithms (Luby, matching) through
-    /// component-sharded execution ([`lcl_local::run_rounds_sharded_with`]):
-    /// the worker pool claims whole components, with bit-identical rows.
-    /// View-engine algorithms (Linial) are unaffected.
+    /// Measure an in-memory cell by connected component: each component
+    /// is a part ([`lcl_local::map_components`]) and the cell's executor
+    /// claims whole components, for every algorithm, with bit-identical
+    /// rows.
     pub shard: bool,
     /// Frozen-snapshot cache for built instances, if enabled.
     pub snapshots: Option<SnapshotCache>,
@@ -95,36 +109,52 @@ impl Default for MeasureOpts {
 
 impl MeasureOpts {
     /// Derives the measurement switches from parsed CLI options:
-    /// `--certify`, `--shard`, and `--snapshot-dir DIR` (falling back to
-    /// the `LCL_SNAPSHOT_DIR` environment variable); the store cut-over
-    /// size comes from `LCL_HUGE_THRESHOLD` (default `2^20`).
+    /// `--certify`, `--shard`, `--huge-threshold N` (default `2^20`), and
+    /// `--snapshot-dir DIR` (falling back to the `LCL_SNAPSHOT_DIR`
+    /// environment variable).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a requested snapshot directory cannot be created — a
-    /// run asked to cache must not silently run uncached — or if
-    /// `LCL_HUGE_THRESHOLD` is set but not a number.
-    #[must_use]
-    pub fn from_cli(opts: &CliOpts) -> MeasureOpts {
+    /// A one-line message if `--huge-threshold` is not a node count, or if
+    /// a requested snapshot directory cannot be created — a run asked to
+    /// cache must not silently run uncached.
+    pub fn from_cli(opts: &CliOpts) -> Result<MeasureOpts, String> {
         let dir = opts
             .value_of("--snapshot-dir")
             .map(PathBuf::from)
             .or_else(|| std::env::var_os("LCL_SNAPSHOT_DIR").map(PathBuf::from));
-        let snapshots = dir.map(|d| {
-            SnapshotCache::open(&d)
-                .unwrap_or_else(|e| panic!("cannot open snapshot dir {}: {e}", d.display()))
-        });
-        let huge_threshold = opts
-            .value_of("--huge-threshold")
-            .map(ToString::to_string)
-            .or_else(|| std::env::var("LCL_HUGE_THRESHOLD").ok())
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("huge threshold `{v}` not a size")))
-            .unwrap_or(1 << 20);
-        MeasureOpts {
+        let snapshots = dir
+            .map(|d| {
+                SnapshotCache::open(&d)
+                    .map_err(|e| format!("cannot open snapshot dir {}: {e}", d.display()))
+            })
+            .transpose()?;
+        let mut m = MeasureOpts {
             certify: opts.has("--certify"),
             shard: opts.has("--shard"),
             snapshots,
-            huge_threshold,
+            ..MeasureOpts::default()
+        };
+        if let Some(v) = opts.value_of("--huge-threshold") {
+            m.huge_threshold =
+                v.parse().map_err(|_| format!("--huge-threshold `{v}` is not a node count"))?;
+        }
+        Ok(m)
+    }
+
+    /// The published sharded store a cell runs from, `None` for a cell
+    /// measured in memory.
+    ///
+    /// # Errors
+    ///
+    /// The store could not be built or opened (the cell is too big to fall
+    /// back to the in-memory path).
+    fn store_for(&self, cell: &Cell<FamilySpec>) -> Result<Option<ShardedSnapshot>, String> {
+        match &self.snapshots {
+            Some(cache) if self.shard && cell.n > self.huge_threshold => {
+                cache.load_or_build_sharded(&cell.family, cell.n, cell.seed).map(Some)
+            }
+            _ => Ok(None),
         }
     }
 }
@@ -141,35 +171,14 @@ pub struct CellMeasurement {
     pub graph_hash: u64,
 }
 
-/// Runs one `(family, n, seed)` cell: builds the instance once, wraps it
-/// in a [`Network`] (shuffled ids from the cell seed), and runs every
-/// requested algorithm on it — one row per algorithm. Panicking wrapper
-/// around [`try_measure_cell`] for callers that treat any failure as fatal.
-#[must_use]
-pub fn measure_cell(cell: &Cell<FamilySpec>, algos: &[AlgoSpec], exec: EngineExec) -> Vec<Row> {
-    try_measure_cell(cell, algos, exec, false).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`measure_cell`]: an infeasible instance or failing algorithm
-/// yields a structured [`CellError`] naming the cell, and with `certify`
-/// set every algorithm's output is re-checked by the independent
+/// Measures one `(family, n, seed)` cell in memory: builds (or, with a
+/// snapshot cache, loads) the instance once, wraps it in a [`Network`]
+/// (shuffled ids from the cell seed), and runs every requested algorithm
+/// on it — one row per algorithm. Under `m.shard` the instance's
+/// connected components are its parts. An infeasible instance or failing
+/// algorithm yields a structured [`CellError`] naming the cell, and with
+/// `m.certify` every output is re-checked by the independent
 /// `lcl_certify` checkers before its row is accepted.
-///
-/// # Errors
-///
-/// [`CellError`] naming the `(family, n, seed)` cell and the cause.
-pub fn try_measure_cell(
-    cell: &Cell<FamilySpec>,
-    algos: &[AlgoSpec],
-    exec: EngineExec,
-    certify: bool,
-) -> Result<Vec<Row>, CellError> {
-    let m = MeasureOpts { certify, ..MeasureOpts::default() };
-    try_measure_cell_full(cell, algos, exec, &m).map(|out| out.rows)
-}
-
-/// [`try_measure_cell`] with the full switch set ([`MeasureOpts`]),
-/// returning the instance's content hash alongside the rows.
 ///
 /// # Errors
 ///
@@ -180,110 +189,14 @@ pub fn try_measure_cell_full(
     exec: EngineExec,
     m: &MeasureOpts,
 ) -> Result<CellMeasurement, CellError> {
-    let fail = |detail: String| CellError {
-        family: cell.family.slug(),
-        n: cell.n,
-        seed: cell.seed,
-        detail,
-    };
-    let g = match &m.snapshots {
-        Some(cache) => cache.load_or_build(&cell.family, cell.n, cell.seed),
-        None => cell.family.build(cell.n, cell.seed),
-    }
-    .map_err(|e| fail(e.to_string()))?;
-    let graph_hash = g.content_hash();
-    let net = Network::new(g, IdAssignment::Shuffled { seed: cell.seed });
-    let nodes = net.len() as f64;
-    let edges = net.graph().edge_count() as f64;
-    let mut rows = Vec::with_capacity(algos.len());
-    for algo in algos {
-        let (measured, mut extra) = try_run_algo(*algo, &net, cell.seed, exec, m)
-            .map_err(|e| fail(format!("{}: {e}", algo.slug())))?;
-        extra.push(("nodes".to_string(), nodes));
-        extra.push(("edges".to_string(), edges));
-        rows.push(Row {
-            experiment: EXPERIMENT_ID,
-            series: format!("{}/{}", cell.family.slug(), algo.slug()),
-            n: cell.n,
-            seed: cell.seed,
-            measured,
-            extra,
-        });
-    }
-    Ok(CellMeasurement { rows, graph_hash })
-}
-
-/// Runs a [`lcl_certify::Solution`] (or a decode failure) through the
-/// independent checker, flattening any violation into the error string.
-fn recheck(
-    g: &lcl_graph::Graph,
-    decoded: Result<lcl_certify::Solution, lcl_certify::Violation>,
-) -> Result<(), String> {
-    let sol = decoded.map_err(|v| format!("certify [{}]: {v}", v.kind()))?;
-    lcl_certify::certify(g, &sol).map(|_| ()).map_err(|v| format!("certify [{}]: {v}", v.kind()))
-}
-
-fn try_run_algo(
-    algo: AlgoSpec,
-    net: &Network,
-    seed: u64,
-    exec: EngineExec,
-    m: &MeasureOpts,
-) -> Result<(f64, Vec<(String, f64)>), String> {
-    let certify = m.certify;
-    let n = net.len() as f64;
-    match algo {
-        AlgoSpec::Luby => {
-            let out = if m.shard {
-                lcl_algos::luby_rounds::try_run_sharded_with(net, seed, &exec)
-            } else {
-                lcl_algos::luby_rounds::try_run_with(net, seed, &exec)
-            }
-            .map_err(|e| e.to_string())?;
-            if certify {
-                recheck(net.graph(), out.solution(net.graph()))?;
-            }
-            let in_set =
-                net.graph().nodes().filter(|&v| *out.labeling.node(v) == MisLabel::InSet).count();
-            Ok((f64::from(out.rounds), vec![("mis_frac".to_string(), in_set as f64 / n)]))
-        }
-        AlgoSpec::Matching => {
-            let out = if m.shard {
-                lcl_algos::matching_rounds::try_run_sharded_with(net, seed, &exec)
-            } else {
-                lcl_algos::matching_rounds::try_run_with(net, seed, &exec)
-            }
-            .map_err(|e| e.to_string())?;
-            if certify {
-                recheck(net.graph(), out.solution(net.graph()))?;
-            }
-            let matched = net
-                .graph()
-                .nodes()
-                .filter(|&v| *out.labeling.node(v) == MatchingLabel::Matched)
-                .count();
-            Ok((f64::from(out.rounds), vec![("matched_frac".to_string(), matched as f64 / n)]))
-        }
-        AlgoSpec::Linial => {
-            let out = lcl_algos::linial::try_run_with(net, &exec).map_err(|e| e.to_string())?;
-            if certify {
-                recheck(net.graph(), Ok(out.solution(net.graph())))?;
-            }
-            let mut palette = out.colors.clone();
-            palette.sort_unstable();
-            palette.dedup();
-            Ok((f64::from(out.total_rounds()), vec![("colors".to_string(), palette.len() as f64)]))
-        }
-    }
+    Ok(assemble(cell, algos, vec![measure_in_memory(cell, algos, exec, m)?]))
 }
 
 /// Measures a store-backed cell **sequentially in-cell**: every shard of
-/// the published sharded snapshot in order, reassembled into the exact
-/// rows [`try_measure_cell_full`] emits on the unsharded instance (the
-/// byte-identity this is pinned to in `tests/store_equiv.rs`). `run_spec`
-/// instead spreads the shards across the scheduler pool as individual
-/// work items; this entry point is the reference path and what external
-/// callers (verify, tests) use.
+/// the published sharded snapshot in order, folded into the exact rows
+/// [`try_measure_cell_full`] emits on the unsharded instance (the
+/// byte-identity `tests/store_equiv.rs` pins). `run_spec` instead spreads
+/// the shards across the scheduler pool as individual work items.
 ///
 /// # Errors
 ///
@@ -295,166 +208,182 @@ pub fn try_measure_cell_store(
     exec: EngineExec,
     m: &MeasureOpts,
 ) -> Result<CellMeasurement, CellError> {
-    let mut shards = Vec::with_capacity(snap.shard_count());
-    for part in 0..snap.shard_count() {
-        shards.push(measure_shard(cell, snap, part, algos, exec, m)?);
-    }
-    Ok(CellMeasurement {
-        rows: assemble_store_cell(cell, snap, algos, &shards),
-        graph_hash: snap.graph_hash(),
-    })
+    let parts = (0..snap.shard_count().max(1))
+        .map(|k| measure_shard(cell, snap, k, algos, exec, m))
+        .collect::<Result<_, _>>()?;
+    Ok(assemble(cell, algos, parts))
 }
 
-/// How one grid cell will execute: in memory as one unit, or backed by a
-/// per-component sharded snapshot with every shard its own work item.
-#[derive(Clone, Debug)]
-enum CellPlan {
-    /// Build (or snapshot-load) the whole instance and measure in one go
-    /// — every cell below the huge threshold.
-    Whole,
-    /// Run from the published sharded store: shards are the schedulable
-    /// unit, and only a shard's own bytes are mapped while it runs.
-    Store(Arc<ShardedSnapshot>),
-    /// The store could not be built/opened; the cell fails with this
-    /// detail (it is too big to fall back to the in-memory path).
-    StoreFailed(String),
-}
-
-/// One algorithm's contribution from one shard, sufficient to reassemble
-/// the cell row exactly: components are independent, so the global run's
-/// rounds are the max over shards and its fractions sum over shards.
+/// One algorithm's result on one or more parts, in the form parts fold in.
 #[derive(Clone, Debug)]
 struct AlgoPart {
     rounds: u32,
-    /// Nodes labeled `InSet` (Luby) / `Matched` (matching) in the shard.
-    count: u64,
-    /// Distinct colors used in the shard (Linial); the cell's palette is
-    /// the union.
+    /// Nodes labeled `InSet` (Luby) / `Matched` (matching).
+    count: usize,
+    /// Distinct colors used (Linial), sorted.
     palette: Vec<u32>,
 }
 
-/// What one work item returns: a whole cell's measurement, or one shard's
-/// per-algorithm contributions.
+/// One or more measured parts of a cell: their size and one [`AlgoPart`]
+/// per algorithm, in spec order.
 #[derive(Clone, Debug)]
-enum PartResult {
-    Whole(CellMeasurement),
-    Shard(Vec<AlgoPart>),
+struct Part {
+    nodes: usize,
+    edges: usize,
+    algos: Vec<AlgoPart>,
 }
 
-/// Measures one shard of a store-backed cell: maps the shard image, wraps
-/// it in a [`Network`] carrying the **global** identifiers (sliced from
-/// the full permutation via [`lcl_local::assigned_ids`] and the member
-/// table) and the global `(n, Δ)` announcements, and runs every algorithm
-/// on it. Per-node behavior depends only on the local id, the port order,
-/// and the announced globals — all preserved — so reassembled rows are
-/// byte-identical to the unsharded run's.
-fn measure_shard(
-    cell: &Cell<FamilySpec>,
-    snap: &ShardedSnapshot,
-    part: usize,
+impl Part {
+    /// Folds another part of the same cell in. Components are independent,
+    /// so the whole run's rounds are the max over parts (it runs until its
+    /// slowest component settles), counts and sizes sum, and palettes
+    /// unite.
+    fn fold(mut self, other: Part) -> Part {
+        self.nodes += other.nodes;
+        self.edges += other.edges;
+        for (a, b) in self.algos.iter_mut().zip(other.algos) {
+            a.rounds = a.rounds.max(b.rounds);
+            a.count += b.count;
+            a.palette.extend(b.palette);
+            a.palette.sort_unstable();
+            a.palette.dedup();
+        }
+        self
+    }
+}
+
+/// Runs every algorithm on one part network — the one algorithm dispatch
+/// of the scenario layer. With `certify`, each output is first re-checked
+/// by the independent `lcl_certify` checkers.
+fn measure_part<X: NodeExecutor>(
+    net: &Network,
     algos: &[AlgoSpec],
-    exec: EngineExec,
-    m: &MeasureOpts,
-) -> Result<Vec<AlgoPart>, CellError> {
-    let fail = |detail: String| CellError {
-        family: cell.family.slug(),
-        n: cell.n,
-        seed: cell.seed,
-        detail: format!("shard {part}: {detail}"),
-    };
-    let g = snap.load_shard(part).map_err(|e| fail(e.to_string()))?;
-    let ids = assigned_ids(snap.node_count(), IdAssignment::Shuffled { seed: cell.seed });
-    let shard_ids: Vec<u64> = snap.members(part).iter().map(|&v| ids[v as usize]).collect();
-    let net = Network::with_ids(g, shard_ids)
-        .with_known_n(snap.node_count())
-        .with_announced_max_degree(snap.max_degree());
-    let mut parts = Vec::with_capacity(algos.len());
-    for algo in algos {
-        let with_algo = |e: String| fail(format!("{}: {e}", algo.slug()));
-        let part = match algo {
+    seed: u64,
+    certify: bool,
+    exec: &X,
+) -> Result<Part, String> {
+    let g = net.graph();
+    let measured = algos.iter().map(|&algo| -> Result<AlgoPart, String> {
+        let fail = |e: String| format!("{}: {e}", algo.slug());
+        let (part, solution) = match algo {
             AlgoSpec::Luby => {
-                let out = lcl_algos::luby_rounds::try_run_with(&net, cell.seed, &exec)
-                    .map_err(|e| with_algo(e.to_string()))?;
-                if m.certify {
-                    recheck(net.graph(), out.solution(net.graph())).map_err(with_algo)?;
-                }
-                let count = net
-                    .graph()
-                    .nodes()
-                    .filter(|&v| *out.labeling.node(v) == MisLabel::InSet)
-                    .count() as u64;
-                AlgoPart { rounds: out.rounds, count, palette: Vec::new() }
+                let out = lcl_algos::luby_rounds::try_run_with(net, seed, exec)
+                    .map_err(|e| fail(e.to_string()))?;
+                let count = g.nodes().filter(|&v| *out.labeling.node(v) == MisLabel::InSet).count();
+                let part = AlgoPart { rounds: out.rounds, count, palette: Vec::new() };
+                (part, certify.then(|| out.solution(g)))
             }
             AlgoSpec::Matching => {
-                let out = lcl_algos::matching_rounds::try_run_with(&net, cell.seed, &exec)
-                    .map_err(|e| with_algo(e.to_string()))?;
-                if m.certify {
-                    recheck(net.graph(), out.solution(net.graph())).map_err(with_algo)?;
-                }
-                let count = net
-                    .graph()
-                    .nodes()
-                    .filter(|&v| *out.labeling.node(v) == MatchingLabel::Matched)
-                    .count() as u64;
-                AlgoPart { rounds: out.rounds, count, palette: Vec::new() }
+                let out = lcl_algos::matching_rounds::try_run_with(net, seed, exec)
+                    .map_err(|e| fail(e.to_string()))?;
+                let count =
+                    g.nodes().filter(|&v| *out.labeling.node(v) == MatchingLabel::Matched).count();
+                let part = AlgoPart { rounds: out.rounds, count, palette: Vec::new() };
+                (part, certify.then(|| out.solution(g)))
             }
             AlgoSpec::Linial => {
-                let out = lcl_algos::linial::try_run_with(&net, &exec)
-                    .map_err(|e| with_algo(e.to_string()))?;
-                if m.certify {
-                    recheck(net.graph(), Ok(out.solution(net.graph()))).map_err(with_algo)?;
-                }
+                let out =
+                    lcl_algos::linial::try_run_with(net, exec).map_err(|e| fail(e.to_string()))?;
                 let mut palette = out.colors.clone();
                 palette.sort_unstable();
                 palette.dedup();
-                AlgoPart { rounds: out.total_rounds(), count: 0, palette }
+                let part = AlgoPart { rounds: out.total_rounds(), count: 0, palette };
+                (part, certify.then(|| Ok(out.solution(g))))
             }
         };
-        parts.push(part);
-    }
-    Ok(parts)
+        if let Some(sol) = solution {
+            sol.and_then(|s| lcl_certify::certify(g, &s))
+                .map_err(|v| fail(format!("certify [{}]: {v}", v.kind())))?;
+        }
+        Ok(part)
+    });
+    Ok(Part { nodes: net.len(), edges: g.edge_count(), algos: measured.collect::<Result<_, _>>()? })
 }
 
-/// Reassembles a store-backed cell's rows from its shard contributions —
-/// the exact rows [`try_measure_cell_full`] would emit on the unsharded
-/// instance: rounds are the max over shards (components are independent;
-/// the global engine runs until its slowest component settles), fractions
-/// sum, and Linial's palette is the union.
-#[allow(clippy::cast_precision_loss)]
-fn assemble_store_cell(
+/// Measures a cell's in-memory instance (built, or loaded from the
+/// snapshot cache) as one work item: whole, or under `m.shard` component
+/// by component — the components fanned across `exec`, each measured
+/// sequentially. Returns the instance's content hash with the folded part.
+fn measure_in_memory(
     cell: &Cell<FamilySpec>,
-    snap: &ShardedSnapshot,
     algos: &[AlgoSpec],
-    shards: &[Vec<AlgoPart>],
-) -> Vec<Row> {
-    let n = snap.node_count() as f64;
-    let nodes = n;
-    let edges = snap.edge_count() as f64;
-    let mut rows = Vec::with_capacity(algos.len());
-    for (k, algo) in algos.iter().enumerate() {
-        let rounds = shards.iter().map(|s| s[k].rounds).max().unwrap_or(0);
-        let total: u64 = shards.iter().map(|s| s[k].count).sum();
-        let metric = match algo {
-            AlgoSpec::Luby => ("mis_frac".to_string(), total as f64 / n),
-            AlgoSpec::Matching => ("matched_frac".to_string(), total as f64 / n),
-            AlgoSpec::Linial => {
-                let mut palette: Vec<u32> =
-                    shards.iter().flat_map(|s| s[k].palette.iter().copied()).collect();
-                palette.sort_unstable();
-                palette.dedup();
-                ("colors".to_string(), palette.len() as f64)
-            }
-        };
-        rows.push(Row {
-            experiment: EXPERIMENT_ID,
-            series: format!("{}/{}", cell.family.slug(), algo.slug()),
-            n: cell.n,
-            seed: cell.seed,
-            measured: f64::from(rounds),
-            extra: vec![metric, ("nodes".to_string(), nodes), ("edges".to_string(), edges)],
-        });
+    exec: EngineExec,
+    m: &MeasureOpts,
+) -> Result<(u64, Part), CellError> {
+    let fail = |e: String| CellError::new(cell, e);
+    let g = match &m.snapshots {
+        Some(cache) => cache.load_or_build(&cell.family, cell.n, cell.seed),
+        None => cell.family.build(cell.n, cell.seed),
     }
-    rows
+    .map_err(|e| fail(e.to_string()))?;
+    let hash = g.content_hash();
+    let net = Network::new(g, IdAssignment::Shuffled { seed: cell.seed });
+    let component = |p: &Network| measure_part(p, algos, cell.seed, m.certify, &Sequential);
+    let part = match m.shard.then(|| map_components(&net, &exec, component)).flatten() {
+        Some((_, parts)) => {
+            parts.into_iter().reduce(|a, b| Ok(a?.fold(b?))).expect("a split network has parts")
+        }
+        None => measure_part(&net, algos, cell.seed, m.certify, &exec),
+    };
+    Ok((hash, part.map_err(fail)?))
+}
+
+/// Measures shard `k` of a cell's published store as one work item: the
+/// shard image, carrying its slice of the cell's global ids and announcing
+/// the cell's `(n, Δ)`. Returns the instance's content hash with the part.
+fn measure_shard(
+    cell: &Cell<FamilySpec>,
+    store: &ShardedSnapshot,
+    k: usize,
+    algos: &[AlgoSpec],
+    exec: EngineExec,
+    m: &MeasureOpts,
+) -> Result<(u64, Part), CellError> {
+    let fail = |e: String| CellError::new(cell, format!("shard {k}: {e}"));
+    let g = store.load_shard(k).map_err(|e| fail(e.to_string()))?;
+    let ids = assigned_ids(store.node_count(), IdAssignment::Shuffled { seed: cell.seed });
+    let net = Network::with_ids(g, store.members(k).iter().map(|&v| ids[v as usize]).collect())
+        .with_known_n(store.node_count())
+        .with_announced_max_degree(store.max_degree());
+    let part = measure_part(&net, algos, cell.seed, m.certify, &exec).map_err(fail)?;
+    Ok((store.graph_hash(), part))
+}
+
+/// Folds a cell's measured items (in item order) into its rows, one per
+/// algorithm, and the instance hash.
+#[allow(clippy::cast_precision_loss)]
+fn assemble(
+    cell: &Cell<FamilySpec>,
+    algos: &[AlgoSpec],
+    items: Vec<(u64, Part)>,
+) -> CellMeasurement {
+    let graph_hash = items[0].0;
+    let part = items.into_iter().map(|(_, p)| p).reduce(Part::fold).expect("a cell has parts");
+    let nodes = part.nodes as f64;
+    let rows = algos
+        .iter()
+        .zip(&part.algos)
+        .map(|(algo, p)| {
+            let metric = match algo {
+                AlgoSpec::Luby => ("mis_frac", p.count as f64 / nodes),
+                AlgoSpec::Matching => ("matched_frac", p.count as f64 / nodes),
+                AlgoSpec::Linial => ("colors", p.palette.len() as f64),
+            };
+            Row {
+                experiment: EXPERIMENT_ID,
+                series: format!("{}/{}", cell.family.slug(), algo.slug()),
+                n: cell.n,
+                seed: cell.seed,
+                measured: f64::from(p.rounds),
+                extra: vec![
+                    (metric.0.to_string(), metric.1),
+                    ("nodes".to_string(), nodes),
+                    ("edges".to_string(), part.edges as f64),
+                ],
+            }
+        })
+        .collect();
+    CellMeasurement { rows, graph_hash }
 }
 
 /// Expands the spec into its cell grid (family outermost, seed innermost
@@ -465,18 +394,12 @@ pub fn expand(spec: &ScenarioSpec, quick: bool) -> Vec<Cell<FamilySpec>> {
     grid(&spec.families, &sizes, &seeds)
 }
 
-/// Plans the makespan-balanced schedule for a cell grid, or `None` when
-/// scheduling is off. Pooled runs schedule by default (safe: output bytes
-/// are stitched in cell order either way); `--no-sched` always wins, and
-/// `--sched` forces planning even for a `--seq` run so predictions land
-/// in the manifest.
-///
-/// The cost model trains on every run persisted under `opts.out` (their
-/// `cell_ms:`/`actual_ms:` manifest meta via [`cost_history`]) plus any
-/// `BENCH_*.json` wall times under `LCL_BENCH_JSON_DIR` ([`bench_history`]);
-/// cells whose `(family, algo-set)` class has no history fall back to the
-/// static degree-weighted estimate [`FamilySpec::cost_weight`] ×
-/// Σ [`AlgoSpec::cost_factor`], calibrated onto the model's scale.
+/// Plans the makespan-balanced schedule for a cell grid whose cells are
+/// one work item each, or `None` when scheduling is off — the
+/// one-item-per-cell case of the planner `run_spec` uses. Pooled runs
+/// schedule by default (safe: output bytes are stitched in cell order
+/// either way); `--no-sched` always wins, and `--sched` forces planning
+/// even for a `--seq` run so predictions land in the manifest.
 #[must_use]
 pub fn schedule_for(
     cells: &[Cell<FamilySpec>],
@@ -484,118 +407,123 @@ pub fn schedule_for(
     opts: &CliOpts,
     runner: &BatchRunner,
 ) -> Option<Schedule> {
-    if !sched_requested(opts, runner) {
+    let items: Vec<(usize, usize)> = cells.iter().enumerate().map(|(ci, c)| (ci, c.n)).collect();
+    plan_items(cells, &items, algos, opts, runner)
+}
+
+/// Plans the placement of work items, `items[j] = (cell, nodes)` — a
+/// shard item is costed like a small cell of the shard's size. The cost
+/// model trains on every run persisted under `opts.out` (their
+/// `cell_ms:`/`actual_ms:` manifest meta via [`cost_history`]) plus any
+/// `BENCH_*.json` wall times under `LCL_BENCH_JSON_DIR` ([`bench_history`]);
+/// items whose `(family, algo-set)` class has no history fall back to the
+/// static degree-weighted estimate [`FamilySpec::cost_weight`] ×
+/// Σ [`AlgoSpec::cost_factor`], calibrated onto the model's scale.
+fn plan_items(
+    cells: &[Cell<FamilySpec>],
+    items: &[(usize, usize)],
+    algos: &[AlgoSpec],
+    opts: &CliOpts,
+    runner: &BatchRunner,
+) -> Option<Schedule> {
+    if opts.has("--no-sched") || !(opts.has("--sched") || runner.is_parallel()) {
         return None;
     }
-    let model = fit_cost_model(opts);
-    let algo_set = algo_set_slug(algos);
-    let classes: Vec<(String, String, usize)> =
-        cells.iter().map(|c| (c.family.slug(), algo_set.clone(), c.n)).collect();
-    let statics: Vec<f64> = cells
-        .iter()
-        .map(|c| c.family.cost_weight(c.n) * algos.iter().map(|a| a.cost_factor(c.n)).sum::<f64>())
-        .collect();
-    let costs = predict_costs(&model, &classes, &statics);
-    Some(build_schedule(&costs, lcl_bench::pool_width()))
-}
-
-/// Whether this run plans a schedule at all (shared gating of
-/// [`schedule_for`] and the store-backed per-shard planner).
-fn sched_requested(opts: &CliOpts, runner: &BatchRunner) -> bool {
-    !opts.has("--no-sched") && (opts.has("--sched") || runner.is_parallel())
-}
-
-/// Fits the cost model on every persisted run under `opts.out` plus any
-/// `BENCH_*.json` under `LCL_BENCH_JSON_DIR`.
-fn fit_cost_model(opts: &CliOpts) -> CostModel {
     let mut samples = cost_history(&RunStore::new(&opts.out)).unwrap_or_default();
     if let Some(dir) = std::env::var_os("LCL_BENCH_JSON_DIR") {
         samples.extend(bench_history(Path::new(&dir)));
     }
-    CostModel::fit(&samples)
-}
-
-/// The `algos` class label used in cost-model sample keys.
-fn algo_set_slug(algos: &[AlgoSpec]) -> String {
-    algos.iter().map(AlgoSpec::slug).collect::<Vec<_>>().join("+")
+    let algo_set = algos.iter().map(AlgoSpec::slug).collect::<Vec<_>>().join("+");
+    let (classes, statics): (Vec<_>, Vec<_>) = items
+        .iter()
+        .map(|&(ci, n)| {
+            let family = &cells[ci].family;
+            let weight =
+                family.cost_weight(n) * algos.iter().map(|a| a.cost_factor(n)).sum::<f64>();
+            ((family.slug(), algo_set.clone(), n), weight)
+        })
+        .unzip();
+    let costs = predict_costs(&CostModel::fit(&samples), &classes, &statics);
+    Some(build_schedule(&costs, lcl_bench::pool_width()))
 }
 
 /// Runs a whole scenario through the batch engine and returns the report
 /// plus any per-cell failures (in cell order), with the scenario name,
-/// spec hash, full canonical spec JSON, and per-cell wall clock
-/// (`cell_ms:<cell>`) recorded as manifest meta — the caller exits
-/// through [`Report::finish`] to render and persist, and should exit
-/// nonzero if any cell failed. Passing `--certify` re-checks every
-/// algorithm output with the independent `lcl_certify` checkers before
-/// its row is accepted. Pooled runs go through the grid scheduler
-/// ([`schedule_for`]) and additionally record `predicted_ms:`/
-/// `actual_ms:` meta per cell plus a `sched` provenance line.
+/// spec hash, full canonical spec JSON, each cell's instance hash
+/// (`graph:<cell>`), and per-cell wall clock (`cell_ms:<cell>`) recorded
+/// as manifest meta — the caller exits through [`Report::finish`] to
+/// render and persist, and should exit nonzero if any cell failed.
+/// Options [`MeasureOpts::from_cli`] rejects fail every cell with its
+/// message. Every cell's work items — one per in-memory cell, one per
+/// shard of a store-backed cell — share one dispatch
+/// (`BatchRunner::try_run_parts`); pooled runs place them with the grid
+/// scheduler and additionally record `predicted_ms:`/`actual_ms:` meta
+/// per cell plus a `sched` provenance line, and store-backed cells record
+/// their shard count (`shards:<cell>`).
 #[must_use]
 pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>) {
     let cells = expand(spec, opts.quick);
     let runner = BatchRunner::from_opts(opts);
     let exec = runner.node_executor();
-    let algos = spec.algos.clone();
+    let algos = &spec.algos;
     let m = MeasureOpts::from_cli(opts);
-    // Plan every cell up front: huge cells (above the threshold, with
-    // sharding and a snapshot dir on) run store-backed, everything else
-    // in memory. Opening/streaming the stores here also hands the
-    // scheduler the per-shard sizes it needs.
-    let plans: Vec<CellPlan> = cells
+    // Plan every cell up front: huge cells run from their sharded store,
+    // everything else in memory. Opening/streaming the stores here also
+    // hands the scheduler the per-shard sizes it needs.
+    let plans: Vec<Result<Option<ShardedSnapshot>, String>> = cells
         .iter()
-        .map(|c| {
-            if !m.shard || c.n <= m.huge_threshold {
-                return CellPlan::Whole;
-            }
-            let Some(cache) = &m.snapshots else { return CellPlan::Whole };
-            match cache.load_or_build_sharded(&c.family, c.n, c.seed) {
-                Ok(s) => CellPlan::Store(Arc::new(s)),
-                Err(e) => CellPlan::StoreFailed(e),
-            }
+        .map(|c| m.as_ref().map_err(Clone::clone).and_then(|m| m.store_for(c)))
+        .collect();
+    let m = m.unwrap_or_default();
+    let item_sizes: Vec<Vec<usize>> = cells
+        .iter()
+        .zip(&plans)
+        .map(|(c, plan)| match plan {
+            Ok(Some(s)) => (0..s.shard_count().max(1)).map(|k| s.shard_meta(k).n).collect(),
+            _ => vec![c.n],
         })
         .collect();
-    // Cells report their instance hash through a side channel (the
-    // measure closure only returns rows); the map is re-read in canonical
-    // cell order below, so pooled and sequential manifests are identical.
-    let hashes: Mutex<HashMap<(String, usize, u64), u64>> = Mutex::new(HashMap::new());
-    let any_store = plans.iter().any(|p| !matches!(p, CellPlan::Whole));
-    let (run, sched_meta) = if any_store {
-        run_with_store_cells(&cells, &plans, &algos, exec, &m, opts, &runner, &hashes)
-    } else {
-        let measure = |cell: &Cell<FamilySpec>| {
-            try_measure_cell_full(cell, &algos, exec, &m).map(|out| {
-                let key = (cell.family.slug(), cell.n, cell.seed);
-                hashes.lock().expect("hash channel poisoned").insert(key, out.graph_hash);
-                out.rows
-            })
-        };
-        let sched = schedule_for(&cells, &algos, opts, &runner);
-        let run = match &sched {
-            Some(s) => runner.try_run_groups(&cells, &s.groups, measure),
-            None => runner.try_run_timed(&cells, measure),
-        };
-        let meta = sched.map(|s| SchedMeta {
-            workers: s.workers,
-            predicted_makespan_ms: s.predicted_makespan_ms,
-            predicted_cell_ms: s.predicted_ms,
-        });
-        (run, meta)
+    let items: Vec<(usize, usize)> = item_sizes
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, sizes)| sizes.iter().map(move |&n| (ci, n)))
+        .collect();
+    let sched = plan_items(&cells, &items, algos, opts, &runner);
+    let groups: Vec<Vec<usize>> = match &sched {
+        Some(s) => s.groups.clone(),
+        // No plan: one pool job per item (chunk-claimed when parallel,
+        // canonical order when sequential).
+        None => (0..items.len()).map(|j| vec![j]).collect(),
     };
+    let mut hashes: Vec<Option<u64>> = vec![None; cells.len()];
+    let run = runner.try_run_parts(
+        &cells,
+        &item_sizes.iter().map(Vec::len).collect::<Vec<_>>(),
+        &groups,
+        |ci, item| match &plans[ci] {
+            Ok(Some(store)) => measure_shard(&cells[ci], store, item, algos, exec, &m),
+            Ok(None) => measure_in_memory(&cells[ci], algos, exec, &m),
+            Err(e) => Err(CellError::new(&cells[ci], e.clone())),
+        },
+        |ci, parts| {
+            let out = assemble(&cells[ci], algos, parts);
+            hashes[ci] = Some(out.graph_hash);
+            Ok(out.rows)
+        },
+    );
     let (mut report, failures, cell_ms) = (run.report, run.failures, run.cell_ms);
     report.push_meta("scenario", spec.name.clone());
     report.push_meta("spec_hash", spec.hash());
     report.push_meta("spec_json", spec.to_json());
-    let hashes = hashes.into_inner().expect("hash channel poisoned");
-    for cell in &cells {
-        let key = (cell.family.slug(), cell.n, cell.seed);
-        if let Some(h) = hashes.get(&key) {
-            report.push_meta(format!("graph:{}:{}:{}", key.0, key.1, key.2), format!("{h:016x}"));
+    for (cell, hash) in cells.iter().zip(&hashes) {
+        if let Some(h) = hash {
+            report.push_meta(format!("graph:{}", cell.key()), format!("{h:016x}"));
         }
     }
     // Store-backed cells leave a shard-count marker, so `results show`
     // and verify know which rows came through the snapshot store.
     for (cell, plan) in cells.iter().zip(&plans) {
-        if let CellPlan::Store(s) = plan {
+        if let Ok(Some(s)) = plan {
             report.push_meta(format!("shards:{}", cell.key()), s.shard_count().to_string());
         }
     }
@@ -603,19 +531,21 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>)
     for (cell, ms) in cells.iter().zip(&cell_ms) {
         report.push_meta(format!("cell_ms:{}", cell.key()), format!("{ms:.3}"));
     }
-    if let Some(s) = &sched_meta {
+    if let Some(s) = &sched {
         report.push_meta(
             "sched",
             format!("workers={} predicted_makespan_ms={:.3}", s.workers, s.predicted_makespan_ms),
         );
         // Predicted vs. actual per cell — the self-improvement record
-        // `results show` aggregates into a prediction error.
-        for (i, cell) in cells.iter().enumerate() {
-            report.push_meta(
-                format!("predicted_ms:{}", cell.key()),
-                format!("{:.3}", s.predicted_cell_ms[i]),
-            );
-            report.push_meta(format!("actual_ms:{}", cell.key()), format!("{:.3}", cell_ms[i]));
+        // `results show` aggregates into a prediction error. A store
+        // cell's prediction is the sum over its shard items.
+        let mut predicted = vec![0.0; cells.len()];
+        for (&(ci, _), ms) in items.iter().zip(&s.predicted_ms) {
+            predicted[ci] += ms;
+        }
+        for ((cell, p), a) in cells.iter().zip(&predicted).zip(&cell_ms) {
+            report.push_meta(format!("predicted_ms:{}", cell.key()), format!("{p:.3}"));
+            report.push_meta(format!("actual_ms:{}", cell.key()), format!("{a:.3}"));
         }
     }
     if let Some(cache) = &m.snapshots {
@@ -623,134 +553,6 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>)
         eprintln!("snapshot cache: {hits} hits, {misses} misses in {}", cache.dir().display());
     }
     (report, failures.into_iter().map(|(_, e)| e).collect())
-}
-
-/// Schedule provenance shared by the cell-level and part-level dispatch
-/// paths: predictions are reported per **cell** either way (a store cell's
-/// prediction is the sum over its shard items).
-struct SchedMeta {
-    workers: usize,
-    predicted_makespan_ms: f64,
-    predicted_cell_ms: Vec<f64>,
-}
-
-/// The mixed huge+small dispatch: every store-backed cell contributes one
-/// work item per shard, every in-memory cell one item, and all items share
-/// the single scheduler pool ([`lcl_bench::BatchRunner::try_run_parts`]).
-/// Without a schedule (`--seq` / `--no-sched`) items run as individual
-/// pool jobs in canonical order.
-#[allow(clippy::too_many_arguments)]
-fn run_with_store_cells(
-    cells: &[Cell<FamilySpec>],
-    plans: &[CellPlan],
-    algos: &[AlgoSpec],
-    exec: EngineExec,
-    m: &MeasureOpts,
-    opts: &CliOpts,
-    runner: &BatchRunner,
-    hashes: &Mutex<HashMap<(String, usize, u64), u64>>,
-) -> (lcl_bench::GridRun<CellError>, Option<SchedMeta>) {
-    let parts_per_cell: Vec<usize> = plans
-        .iter()
-        .map(|p| match p {
-            CellPlan::Store(s) => s.shard_count().max(1),
-            CellPlan::Whole | CellPlan::StoreFailed(_) => 1,
-        })
-        .collect();
-    // Item-level cost classes: a shard item is costed like a small cell
-    // of the shard's size (the per-component sizes come straight from the
-    // shard manifest).
-    let item_sizes: Vec<(usize, usize)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, p)| -> Vec<(usize, usize)> {
-            match p {
-                CellPlan::Store(s) => {
-                    (0..s.shard_count().max(1)).map(|k| (ci, s.shard_meta(k).n)).collect()
-                }
-                CellPlan::Whole | CellPlan::StoreFailed(_) => vec![(ci, cells[ci].n)],
-            }
-        })
-        .collect();
-    let sched = if sched_requested(opts, runner) {
-        let model = fit_cost_model(opts);
-        let algo_set = algo_set_slug(algos);
-        let classes: Vec<(String, String, usize)> = item_sizes
-            .iter()
-            .map(|&(ci, n)| (cells[ci].family.slug(), algo_set.clone(), n))
-            .collect();
-        let statics: Vec<f64> = item_sizes
-            .iter()
-            .map(|&(ci, n)| {
-                cells[ci].family.cost_weight(n)
-                    * algos.iter().map(|a| a.cost_factor(n)).sum::<f64>()
-            })
-            .collect();
-        let costs = predict_costs(&model, &classes, &statics);
-        Some(build_schedule(&costs, lcl_bench::pool_width()))
-    } else {
-        None
-    };
-    let groups: Vec<Vec<usize>> = match &sched {
-        Some(s) => s.groups.clone(),
-        // No plan: one pool job per item (chunk-claimed when parallel,
-        // canonical order when sequential).
-        None => (0..item_sizes.len()).map(|j| vec![j]).collect(),
-    };
-    let measure_part = |ci: usize, part: usize| -> Result<PartResult, CellError> {
-        match &plans[ci] {
-            CellPlan::Whole => {
-                try_measure_cell_full(&cells[ci], algos, exec, m).map(PartResult::Whole)
-            }
-            CellPlan::Store(s) => {
-                measure_shard(&cells[ci], s, part, algos, exec, m).map(PartResult::Shard)
-            }
-            CellPlan::StoreFailed(e) => Err(CellError {
-                family: cells[ci].family.slug(),
-                n: cells[ci].n,
-                seed: cells[ci].seed,
-                detail: e.clone(),
-            }),
-        }
-    };
-    let assemble = |ci: usize, mut parts: Vec<PartResult>| -> Result<Vec<Row>, CellError> {
-        let cell = &cells[ci];
-        let key = (cell.family.slug(), cell.n, cell.seed);
-        match &plans[ci] {
-            CellPlan::Whole => {
-                let Some(PartResult::Whole(out)) = parts.pop() else {
-                    unreachable!("whole cells are single-part")
-                };
-                hashes.lock().expect("hash channel poisoned").insert(key, out.graph_hash);
-                Ok(out.rows)
-            }
-            CellPlan::Store(s) => {
-                let shards: Vec<Vec<AlgoPart>> = parts
-                    .into_iter()
-                    .map(|p| match p {
-                        PartResult::Shard(v) => v,
-                        PartResult::Whole(_) => unreachable!("store cells yield shard parts"),
-                    })
-                    .collect();
-                hashes.lock().expect("hash channel poisoned").insert(key, s.graph_hash());
-                Ok(assemble_store_cell(cell, s, algos, &shards))
-            }
-            CellPlan::StoreFailed(_) => unreachable!("failed stores never reach assembly"),
-        }
-    };
-    let run = runner.try_run_parts(cells, &parts_per_cell, &groups, measure_part, assemble);
-    let meta = sched.map(|s| {
-        let mut predicted_cell_ms = vec![0.0; cells.len()];
-        for (j, &(ci, _)) in item_sizes.iter().enumerate() {
-            predicted_cell_ms[ci] += s.predicted_ms[j];
-        }
-        SchedMeta {
-            workers: s.workers,
-            predicted_makespan_ms: s.predicted_makespan_ms,
-            predicted_cell_ms,
-        }
-    });
-    (run, meta)
 }
 
 /// The run-store experiment name for a scenario.
@@ -763,6 +565,13 @@ pub fn experiment_name(spec: &ScenarioSpec) -> String {
 mod tests {
     use super::*;
     use crate::spec::SpecError;
+
+    /// One in-memory cell, failures panicking.
+    fn measure(cell: &Cell<FamilySpec>, algos: &[AlgoSpec], exec: EngineExec) -> Vec<Row> {
+        try_measure_cell_full(cell, algos, exec, &MeasureOpts::default())
+            .unwrap_or_else(|e| panic!("{e}"))
+            .rows
+    }
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -789,7 +598,7 @@ mod tests {
     fn measure_cell_emits_one_row_per_algo() {
         let spec = tiny_spec();
         let cells = expand(&spec, false);
-        let rows = measure_cell(&cells[0], &spec.algos, EngineExec::Sequential);
+        let rows = measure(&cells[0], &spec.algos, EngineExec::Sequential);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].series, "torus/luby");
         assert_eq!(rows[1].series, "torus/linial");
@@ -811,10 +620,9 @@ mod tests {
         let spec = tiny_spec();
         let cells = expand(&spec, false);
         let algos = spec.algos.clone();
-        let seq = BatchRunner::sequential()
-            .run(&cells, |c| measure_cell(c, &algos, EngineExec::Sequential));
-        let par =
-            BatchRunner::parallel().run(&cells, |c| measure_cell(c, &algos, EngineExec::Parallel));
+        let seq =
+            BatchRunner::sequential().run(&cells, |c| measure(c, &algos, EngineExec::Sequential));
+        let par = BatchRunner::parallel().run(&cells, |c| measure(c, &algos, EngineExec::Parallel));
         assert_eq!(seq.render(true), par.render(true));
         assert_eq!(seq.render(false), par.render(false));
         assert_eq!(seq.rows().len(), 16);
@@ -832,8 +640,9 @@ mod tests {
         // refuses, and the refusal comes back attributed to the cell
         // instead of panicking the worker pool.
         let cell = Cell { family: FamilySpec::Gnm { avg_deg: 1000.0 }, n: 16, seed: 1 };
-        let err =
-            try_measure_cell(&cell, &[AlgoSpec::Luby], EngineExec::Sequential, false).unwrap_err();
+        let m = MeasureOpts::default();
+        let err = try_measure_cell_full(&cell, &[AlgoSpec::Luby], EngineExec::Sequential, &m)
+            .unwrap_err();
         assert_eq!((err.family.as_str(), err.n, err.seed), ("gnm-d1000", 16, 1));
         assert!(format!("{err}").starts_with("gnm-d1000 at n=16 seed=1:"), "{err}");
     }
@@ -842,9 +651,10 @@ mod tests {
     fn certify_flag_rechecks_every_row() {
         let spec = tiny_spec();
         let cells = expand(&spec, false);
+        let m = MeasureOpts { certify: true, ..MeasureOpts::default() };
         for cell in &cells {
-            let rows = try_measure_cell(cell, &spec.algos, EngineExec::Sequential, true).unwrap();
-            assert_eq!(rows.len(), spec.algos.len());
+            let out = try_measure_cell_full(cell, &spec.algos, EngineExec::Sequential, &m).unwrap();
+            assert_eq!(out.rows.len(), spec.algos.len());
         }
     }
 }

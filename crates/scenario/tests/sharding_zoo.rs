@@ -1,21 +1,25 @@
 //! Component-sharding correctness across the scenario family zoo.
 //!
-//! Two layers of evidence that huge-graph sharding is safe to turn on for
-//! any workload the scenario layer can express:
+//! Two layers of evidence that measuring a cell by component part is safe
+//! to turn on for any workload the scenario layer can express:
 //!
 //! * the flat [`Components`] partition is a true partition (every node in
 //!   exactly one component, components closed under adjacency, `extract`
 //!   interchangeable with `induced_subgraph`) on instances drawn from all
 //!   seven generator families;
-//! * property tests: on random disconnected instances, the sharded entry
-//!   points of both round-engine algorithms (`luby_rounds`,
-//!   `matching_rounds`) produce **bit-identical** labelings and round
-//!   counts to their unsharded counterparts.
+//! * property tests: on random disconnected instances whose components
+//!   differ in `Δ`, every algorithm the scenario layer runs (`luby_rounds`,
+//!   `matching_rounds`, `linial`) labels each component part
+//!   ([`lcl_local::map_components`]) **bit-identically** to the whole run
+//!   on those nodes, the whole run's rounds are the max over the parts',
+//!   and every part's output certifies on its own.
 
-use lcl_graph::{gen, Components, Graph};
-use lcl_local::{IdAssignment, Network, Sequential};
+use lcl_core::Labeling;
+use lcl_graph::{gen, Components, Graph, NodeId};
+use lcl_local::{map_components, IdAssignment, Network, Sequential};
 use lcl_scenario::FamilySpec;
 use proptest::prelude::*;
+use std::fmt::Debug;
 
 fn zoo() -> Vec<FamilySpec> {
     vec![
@@ -112,6 +116,61 @@ fn disconnected_instance(pieces: &[(u8, usize)], seed: u64) -> Graph {
     g
 }
 
+/// Per node, in the given order: its label, then `(half-edge, edge)`
+/// labels port by port — what one node's output looks like from inside.
+fn per_node<L: Clone>(
+    g: &Graph,
+    labeling: &Labeling<L>,
+    nodes: impl Iterator<Item = NodeId>,
+) -> Vec<(L, Vec<(L, L)>)> {
+    nodes
+        .map(|v| {
+            let ports = g.ports(v).iter();
+            let ports = ports.map(|&h| (labeling.half(h).clone(), labeling.edge(h.edge()).clone()));
+            (labeling.node(v).clone(), ports.collect())
+        })
+        .collect()
+}
+
+/// Runs `run` on the whole network and on every component part, and
+/// checks that each part labels its nodes exactly as the whole run does
+/// and that the whole run's rounds are the max over the parts'.
+fn check_parts<L>(
+    net: &Network,
+    run: impl Fn(&Network) -> (Labeling<L>, u32) + Sync,
+) -> Result<(), TestCaseError>
+where
+    L: Clone + PartialEq + Debug + Send,
+{
+    let (whole, whole_rounds) = run(net);
+    let (comps, parts) = map_components(net, &Sequential, |part| {
+        let (labeling, rounds) = run(part);
+        (per_node(part.graph(), &labeling, part.graph().nodes()), rounds)
+    })
+    .expect("the instance is disconnected");
+    for (c, (labels, _)) in parts.iter().enumerate() {
+        let want = per_node(net.graph(), &whole, comps.members(c).iter().copied());
+        prop_assert_eq!(labels, &want, "component {} diverged from the whole run", c);
+    }
+    prop_assert_eq!(parts.iter().map(|p| p.1).max(), Some(whole_rounds));
+    Ok(())
+}
+
+/// Certifies an output on the network it was computed on.
+fn certified(net: &Network, sol: Result<lcl_certify::Solution, lcl_certify::Violation>) {
+    let sol = sol.unwrap_or_else(|v| panic!("decode: {v}"));
+    lcl_certify::certify(net.graph(), &sol).unwrap_or_else(|v| panic!("certify: {v}"));
+}
+
+/// A disconnected instance: a star (the `Δ` of the whole) next to a cycle
+/// and the random pieces, with seeded shuffled ids.
+fn mixed_network(pieces: &[(u8, usize)], seed: u64, idseed: u64) -> Network {
+    let mut g = gen::star(12);
+    g.append(&gen::cycle(5));
+    g.append(&disconnected_instance(pieces, seed));
+    Network::new(g, IdAssignment::Shuffled { seed: idseed })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -121,13 +180,12 @@ proptest! {
         seed in 0u64..500,
         idseed in 0u64..100,
     ) {
-        let g = disconnected_instance(&pieces, seed);
-        let net = Network::new(g, IdAssignment::Shuffled { seed: idseed });
-        let plain = lcl_algos::luby_rounds::try_run_with(&net, seed, &Sequential).unwrap();
-        let sharded =
-            lcl_algos::luby_rounds::try_run_sharded_with(&net, seed, &Sequential).unwrap();
-        prop_assert_eq!(plain.labeling, sharded.labeling);
-        prop_assert_eq!(plain.rounds, sharded.rounds);
+        let net = mixed_network(&pieces, seed, idseed);
+        check_parts(&net, |p| {
+            let out = lcl_algos::luby_rounds::try_run_with(p, seed, &Sequential).unwrap();
+            certified(p, out.solution(p.graph()));
+            (out.labeling, out.rounds)
+        })?;
     }
 
     #[test]
@@ -136,12 +194,28 @@ proptest! {
         seed in 0u64..500,
         idseed in 0u64..100,
     ) {
-        let g = disconnected_instance(&pieces, seed);
-        let net = Network::new(g, IdAssignment::Shuffled { seed: idseed });
-        let plain = lcl_algos::matching_rounds::try_run_with(&net, seed, &Sequential).unwrap();
-        let sharded =
-            lcl_algos::matching_rounds::try_run_sharded_with(&net, seed, &Sequential).unwrap();
-        prop_assert_eq!(plain.labeling, sharded.labeling);
-        prop_assert_eq!(plain.rounds, sharded.rounds);
+        let net = mixed_network(&pieces, seed, idseed);
+        check_parts(&net, |p| {
+            let out = lcl_algos::matching_rounds::try_run_with(p, seed, &Sequential).unwrap();
+            certified(p, out.solution(p.graph()));
+            (out.labeling, out.rounds)
+        })?;
+    }
+
+    #[test]
+    fn linial_sharded_is_bit_identical(
+        pieces in proptest::collection::vec((0u8..4, 3usize..12), 1..5),
+        seed in 0u64..500,
+        idseed in 0u64..100,
+    ) {
+        let net = mixed_network(&pieces, seed, idseed);
+        check_parts(&net, |p| {
+            let out = lcl_algos::linial::try_run_with(p, &Sequential).unwrap();
+            // Every part targets the whole network's palette.
+            assert_eq!(out.palette as usize, net.max_degree() + 1);
+            certified(p, Ok(out.solution(p.graph())));
+            let rounds = out.total_rounds();
+            (out.labeling, rounds)
+        })?;
     }
 }

@@ -1,8 +1,10 @@
-//! Store-backed execution is invisible in the output: a cell measured
-//! from its per-component sharded snapshot produces rows **byte-identical**
-//! to the plain in-memory path on the unsharded graph, both per cell
-//! (reference reassembly) and end-to-end through `run_spec`'s mixed
-//! huge+small part dispatch.
+//! Part-wise execution is invisible in the output: a cell measured from
+//! its per-component sharded snapshot, or in memory component by
+//! component (`--shard`), produces rows **byte-identical** to the plain
+//! in-memory path on the unsharded graph, both per cell (reference
+//! reassembly) and end-to-end through `run_spec`'s mixed huge+small part
+//! dispatch — for every algorithm, on instances whose components differ
+//! in size, degree, and id range.
 
 use lcl_bench::{BatchRunner, Cell, CliOpts, EngineExec};
 use lcl_scenario::{
@@ -22,16 +24,19 @@ const ALGOS: [AlgoSpec; 3] = [AlgoSpec::Luby, AlgoSpec::Matching, AlgoSpec::Lini
 
 /// The reference reassembly: per cell, all shards sequentially, against
 /// the whole-graph measurement — across disconnected (many shards) and
-/// connected (one shard) pods instances, several seeds, with certify on.
+/// connected (one shard) pods instances and sparse `G(n, m)` (components
+/// of every size), several seeds, with certify on.
 #[test]
 fn store_rows_match_the_in_memory_rows_per_cell() {
     let dir = tempdir("cell");
     let cache = SnapshotCache::open(&dir).unwrap();
     let m = MeasureOpts { certify: true, ..MeasureOpts::default() };
+    let sharded = MeasureOpts { certify: true, shard: true, ..MeasureOpts::default() };
     for family in [
         FamilySpec::Pods { pod_size: 4, cross_links: 0 }, // 12 components
         FamilySpec::Pods { pod_size: 4, cross_links: 2 }, // connected ring
         FamilySpec::Pods { pod_size: 6, cross_links: 1 },
+        FamilySpec::Gnm { avg_deg: 1.5 }, // below the giant-component threshold
     ] {
         for seed in [1, 2, 7] {
             let cell = Cell { family: family.clone(), n: 48, seed };
@@ -39,22 +44,27 @@ fn store_rows_match_the_in_memory_rows_per_cell() {
             let plain = try_measure_cell_full(&cell, &ALGOS, EngineExec::Sequential, &m).unwrap();
             let store =
                 try_measure_cell_store(&cell, &snap, &ALGOS, EngineExec::Sequential, &m).unwrap();
-            assert_eq!(plain.graph_hash, store.graph_hash, "{} s{seed}", family.slug());
-            assert_eq!(
-                format!("{:?}", plain.rows),
-                format!("{:?}", store.rows),
-                "{} seed {seed}: store rows diverge from the in-memory rows",
-                family.slug()
-            );
+            let split =
+                try_measure_cell_full(&cell, &ALGOS, EngineExec::Parallel, &sharded).unwrap();
+            for (mode, out) in [("store", &store), ("--shard", &split)] {
+                assert_eq!(plain.graph_hash, out.graph_hash, "{} s{seed}", family.slug());
+                assert_eq!(
+                    format!("{:?}", plain.rows),
+                    format!("{:?}", out.rows),
+                    "{} seed {seed}: {mode} rows diverge from the in-memory rows",
+                    family.slug()
+                );
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// End-to-end: a mixed grid (one "huge" disconnected pods cell above the
-/// lowered threshold + small torus cells) through `run_spec`'s shared
-/// scheduler pool renders byte-identically to the plain `--seq` run on
-/// unsharded graphs, pooled and sequential alike.
+/// End-to-end: a mixed grid ("huge" disconnected pods and sparse
+/// `G(n, m)` cells above the lowered threshold + small torus cells)
+/// through `run_spec`'s shared scheduler pool renders byte-identically to
+/// the plain `--seq` run on unsharded graphs, pooled and sequential alike,
+/// and so does the in-memory `--shard` run.
 #[test]
 fn run_spec_store_dispatch_is_byte_identical_to_seq() {
     let snap_dir = tempdir("spec-snaps");
@@ -62,10 +72,14 @@ fn run_spec_store_dispatch_is_byte_identical_to_seq() {
     let spec = ScenarioSpec {
         name: "store-equiv".into(),
         description: "store dispatch equivalence fixture".into(),
-        families: vec![FamilySpec::Pods { pod_size: 4, cross_links: 0 }, FamilySpec::Torus],
+        families: vec![
+            FamilySpec::Pods { pod_size: 4, cross_links: 0 },
+            FamilySpec::Torus,
+            FamilySpec::Gnm { avg_deg: 1.5 },
+        ],
         sizes: vec![64],
         seeds: vec![1, 2],
-        algos: vec![AlgoSpec::Luby, AlgoSpec::Matching],
+        algos: ALGOS.to_vec(),
     };
     let args = |extra: &[&str]| -> CliOpts {
         let mut v =
@@ -76,6 +90,10 @@ fn run_spec_store_dispatch_is_byte_identical_to_seq() {
     // Reference: plain sequential, no snapshots, no sharding.
     let (reference, fails) = run_spec(&spec, &args(&["--seq"]));
     assert!(fails.is_empty(), "{fails:?}");
+    // In memory, component by component.
+    let (split, fails) = run_spec(&spec, &args(&["--shard"]));
+    assert!(fails.is_empty(), "{fails:?}");
+    assert_eq!(reference.render(true), split.render(true));
     let snap = snap_dir.display().to_string();
     let store_flags = ["--shard", "--snapshot-dir", snap.as_str(), "--huge-threshold", "32"];
     // Store-backed, sequential (items in canonical order, one thread).
