@@ -5,9 +5,10 @@
 //! caterpillar forests, half random lifts of a cycle base) totaling
 //! `n = 2²⁰` nodes, run through `luby_rounds`. The baseline is the
 //! engine's per-node executor path (`run_rounds_with` over the pool): it
-//! fans every round's frontier across workers, paying a synchronization
-//! barrier per round plus per-round cell staging, and its working set is
-//! the whole 2²⁰-node table. The component split `scenarios run --shard`
+//! fans every round's frontier across workers, paying two synchronization
+//! barriers per round (send, receive) plus a sequential set-up of the
+//! per-run routing tables, and its working set is the whole 2²⁰-node
+//! table. The component split `scenarios run --shard`
 //! measures cells with (`lcl_local::map_components`) instead hands the
 //! pool whole components: each part runs the lean sequential frontier
 //! engine on scratch sized to the part, so a component's tables stay

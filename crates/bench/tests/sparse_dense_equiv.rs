@@ -1,27 +1,86 @@
-//! Dense-vs-sparse round-engine equivalence, proptest-pinned.
+//! Round-engine equivalence, proptest-pinned.
 //!
-//! The event-driven sparse engine (`run_rounds` / `run_rounds_with`) must
-//! be **bit-identical** to the dense oracle (`run_rounds_dense` /
+//! The active-frontier engine (`run_rounds` / `run_rounds_with`) must be
+//! **bit-identical** to the dense oracle (`run_rounds_dense` /
 //! `run_rounds_dense_with`) for every algorithm honoring the
 //! sparse-execution contract: same outputs, same `RoundTrace.rounds`,
-//! same `completed`, same undecided attribution. This suite sweeps the
-//! six-family generator zoo, multigraphs, and self-loops, under both the
-//! sequential engine and the pooled executor (the CI determinism job
-//! re-runs it with `LCL_POOL_THREADS` pinned).
+//! same `completed`, same undecided attribution. Both are policies of one
+//! engine, so every case is also checked against an independent naive
+//! reference engine kept in this file. The suite sweeps the six-family
+//! generator zoo, multigraphs, self-loops, and instances whose frontier
+//! spans several pooled chunks, under both the sequential engine and the
+//! pooled executor (the CI determinism job re-runs it with
+//! `LCL_POOL_THREADS` pinned).
 
 use lcl_algos::luby_rounds::DistributedLuby;
 use lcl_algos::matching_rounds::DistributedMatching;
 use lcl_bench::Parallel;
 use lcl_graph::{gen, Graph, NodeId};
 use lcl_local::{
-    run_rounds, run_rounds_dense, run_rounds_dense_with, run_rounds_with, IdAssignment, Network,
-    NodeCtx, RoundAlgorithm,
+    rand_word, run_rounds, run_rounds_dense, run_rounds_dense_with, run_rounds_with, IdAssignment,
+    Network, NodeCtx, RoundAlgorithm, RoundOutcome, RoundTrace,
 };
 use proptest::prelude::*;
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Runs all four engines on one instance and asserts the sparse runs are
-/// bit-identical to the sequential dense oracle.
+/// The independent routing oracle: a naive engine shaped like the pre-CSR
+/// `run_rounds_baseline` that `benches/rounds.rs` keeps. Every round it
+/// runs every node, routes each message into fresh nested per-node
+/// inboxes with `Graph::peer_port`, and sorts each inbox by port. It
+/// shares no routing code with `lcl_local`, so agreeing with it checks the
+/// port plane rather than the plane against itself.
+fn run_rounds_reference<A: RoundAlgorithm>(
+    net: &Network,
+    alg: &A,
+    seed: u64,
+    cap: u32,
+) -> RoundOutcome<A::Output> {
+    let g = net.graph();
+    let ctxs: Vec<NodeCtx> = g
+        .nodes()
+        .map(|v| NodeCtx {
+            id: net.id_of(v),
+            degree: g.degree(v),
+            known_n: net.known_n(),
+            max_degree: net.max_degree(),
+        })
+        .collect();
+    let mut rngs: Vec<ChaCha8Rng> = ctxs
+        .iter()
+        .map(|c| ChaCha8Rng::seed_from_u64(rand_word(seed, c.id, 0x0C0D_E5EED)))
+        .collect();
+    let mut states: Vec<A::State> =
+        ctxs.iter().zip(&mut rngs).map(|(c, rng)| alg.init(c, rng)).collect();
+    let poll = |states: &[A::State]| -> Vec<Option<A::Output>> {
+        states.iter().zip(&ctxs).map(|(s, c)| alg.output(s, c)).collect()
+    };
+    let mut rounds = 0;
+    let mut completed = poll(&states).iter().all(Option::is_some);
+    while !completed && rounds < cap {
+        let mut inboxes: Vec<Vec<(usize, A::Msg)>> = Vec::new();
+        inboxes.resize_with(g.node_count(), Vec::new);
+        for v in g.nodes() {
+            for (port, msg) in alg.send(&states[v.index()], &ctxs[v.index()]) {
+                let h = g.half_edge_at_port(v, port).expect("valid port");
+                inboxes[g.half_edge_peer(h).index()].push((g.peer_port(h), msg));
+            }
+        }
+        for (v, inbox) in inboxes.iter_mut().enumerate() {
+            inbox.sort_by_key(|&(port, _)| port);
+            alg.receive(&mut states[v], &ctxs[v], inbox, &mut rngs[v]);
+        }
+        rounds += 1;
+        completed = poll(&states).iter().all(Option::is_some);
+    }
+    let outputs = poll(&states);
+    let undecided =
+        (0..outputs.len()).filter(|&i| outputs[i].is_none()).map(|i| (i, ctxs[i].id)).collect();
+    RoundOutcome { outputs, trace: RoundTrace { rounds, completed }, undecided }
+}
+
+/// Runs the naive reference and the engine under both policies and both
+/// executors on one instance, and asserts all five agree.
 fn assert_engines_agree<A>(net: &Network, alg: &A, seed: u64, cap: u32, label: &str)
 where
     A: RoundAlgorithm + Sync,
@@ -29,7 +88,12 @@ where
     A::Msg: Send + Sync,
     A::Output: Clone + Send + PartialEq + std::fmt::Debug,
 {
+    let reference = run_rounds_reference(net, alg, seed, cap);
     let dense = run_rounds_dense(net, alg, seed, cap);
+    assert_eq!(dense.outputs, reference.outputs, "{label}: dense outputs diverged from reference");
+    assert_eq!(dense.trace, reference.trace, "{label}: dense trace diverged from reference");
+    assert_eq!(dense.undecided, reference.undecided, "{label}: dense undecided diverged");
+
     let sparse = run_rounds(net, alg, seed, cap);
     assert_eq!(sparse.outputs, dense.outputs, "{label}: sparse outputs diverged from dense oracle");
     assert_eq!(sparse.trace, dense.trace, "{label}: sparse trace diverged from dense oracle");
@@ -38,6 +102,7 @@ where
     let dense_p = run_rounds_dense_with(net, alg, seed, cap, &Parallel);
     assert_eq!(dense_p.outputs, dense.outputs, "{label}: pooled dense outputs diverged");
     assert_eq!(dense_p.trace, dense.trace, "{label}: pooled dense trace diverged");
+    assert_eq!(dense_p.undecided, dense.undecided, "{label}: pooled dense undecided diverged");
 
     let sparse_p = run_rounds_with(net, alg, seed, cap, &Parallel);
     assert_eq!(sparse_p.outputs, dense.outputs, "{label}: pooled sparse outputs diverged");
@@ -109,8 +174,157 @@ proptest! {
             let net = Network::new(g, IdAssignment::Shuffled { seed });
             assert_engines_agree(&net, &DistributedLuby, seed, 200, name);
             assert_engines_agree(&net, &DistributedMatching, seed, 200, name);
+            assert_engines_agree(&net, &PortTag, seed, 200, name);
         }
     }
+}
+
+/// An instance whose frontier spans several of the engine's pooled chunks
+/// (512 frontier nodes each) and ends in a ragged last one: a random
+/// `d`-regular multigraph (parallel edges, stray loops) on `n` nodes,
+/// spread so that every seventh node is isolated, with extra self-loops
+/// at three nodes and one trailing isolated node.
+fn chunky_graph(n: usize, d: usize, seed: u64) -> Graph {
+    let base = gen::random_regular_multigraph(n, d, seed).expect("even n is generable");
+    let spread = |v: NodeId| NodeId(v.0 + v.0 / 6);
+    let mut g = Graph::new();
+    g.add_nodes(spread(NodeId(n as u32 - 1)).index() + 2);
+    for e in base.edges() {
+        let [a, b] = base.endpoints(e);
+        g.add_edge(spread(a), spread(b));
+    }
+    for v in [0, n / 2, n - 1] {
+        let v = spread(NodeId(v as u32));
+        g.add_edge(v, v);
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Pooled, sequential, dense and reference runs agree when the
+    /// frontier crosses chunk boundaries.
+    #[test]
+    fn frontiers_spanning_several_chunks_agree(
+        n in 1100usize..2200,
+        d in 2usize..5,
+        seed in 0u64..1000,
+    ) {
+        let n = n & !1;
+        let g = chunky_graph(n, d, seed);
+        prop_assert!(g.node_count() > 2 * 512, "the instance must span several chunks");
+        let net = Network::new(g, IdAssignment::Shuffled { seed });
+        assert_engines_agree(&net, &DistributedLuby, seed, 200, "chunky");
+        assert_engines_agree(&net, &DistributedMatching, seed, 200, "chunky");
+        assert_engines_agree(&net, &Pulse, seed, 40, "chunky");
+        assert_engines_agree(&net, &PortTag, seed, 40, "chunky");
+    }
+}
+
+/// Port-exact routing probe: for three rounds every node sends
+/// `(id, port, round)` on each port and logs each inbox entry with the
+/// port it arrived on. Luby and matching broadcast the same message on
+/// every port, so they cannot tell a self-loop delivered back to the port
+/// it left from, or two parallel edges crossed; this protocol's output
+/// changes under any such misrouting.
+struct PortTag;
+
+/// A [`PortTag`] log entry: `(receiving port, sender id, sending port,
+/// round)`.
+type Tag = (usize, u64, usize, u32);
+
+impl RoundAlgorithm for PortTag {
+    type State = (u32, Vec<Tag>);
+    type Msg = (u64, usize, u32);
+    type Output = Vec<Tag>;
+
+    fn init(&self, _ctx: &NodeCtx, _rng: &mut ChaCha8Rng) -> Self::State {
+        (0, Vec::new())
+    }
+
+    fn send(&self, state: &Self::State, ctx: &NodeCtx) -> Vec<(usize, Self::Msg)> {
+        if state.0 < 3 {
+            (0..ctx.degree).map(|p| (p, (ctx.id, p, state.0))).collect()
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn receive(
+        &self,
+        state: &mut Self::State,
+        ctx: &NodeCtx,
+        inbox: &[(usize, Self::Msg)],
+        _r: &mut ChaCha8Rng,
+    ) {
+        // Only a node that sent this round advances: silent nodes are inert.
+        if state.0 < 3 && ctx.degree > 0 {
+            state.1.extend(inbox.iter().map(|&(port, (id, from, round))| (port, id, from, round)));
+            state.0 += 1;
+        }
+    }
+
+    fn output(&self, state: &Self::State, ctx: &NodeCtx) -> Option<Vec<Tag>> {
+        (ctx.degree == 0 || state.0 >= 3).then(|| state.1.clone())
+    }
+}
+
+/// A deliberately broken protocol: the nodes with the listed ids send on
+/// port `degree` (one past the last valid port) when `bad_port`, else
+/// twice on port 0. Everyone else sends one message per port.
+struct Misbehaver {
+    offenders: [u64; 2],
+    bad_port: bool,
+}
+
+impl RoundAlgorithm for Misbehaver {
+    type State = ();
+    type Msg = u64;
+    type Output = u64;
+
+    fn init(&self, _ctx: &NodeCtx, _rng: &mut ChaCha8Rng) {}
+
+    fn send(&self, _state: &(), ctx: &NodeCtx) -> Vec<(usize, u64)> {
+        if !self.offenders.contains(&ctx.id) {
+            (0..ctx.degree).map(|p| (p, ctx.id)).collect()
+        } else if self.bad_port {
+            vec![(ctx.degree, ctx.id)]
+        } else {
+            vec![(0, ctx.id), (0, ctx.id)]
+        }
+    }
+
+    fn receive(&self, _s: &mut (), _c: &NodeCtx, _i: &[(usize, u64)], _r: &mut ChaCha8Rng) {}
+
+    fn output(&self, _state: &(), _ctx: &NodeCtx) -> Option<u64> {
+        None
+    }
+}
+
+/// Two offenders in adjacent chunks of a 4096-node cycle: node 2047 ends
+/// chunk 3 and node 2048 starts chunk 4. Split across two or four workers,
+/// the lower one is the last node of its worker's share and the upper one
+/// the first of the next share, so the upper one offends first in time.
+/// The panic must still name the lower one. Sequential ids are index + 1.
+fn misbehave_pooled(bad_port: bool) {
+    let net = Network::new(gen::cycle(4096), IdAssignment::Sequential);
+    let _ =
+        run_rounds_with(&net, &Misbehaver { offenders: [2049, 2048], bad_port }, 0, 2, &Parallel);
+}
+
+#[test]
+#[should_panic(expected = "algorithm violation: node n2047 (degree 2) sent on invalid port 2 in \
+                           round 1")]
+fn pooled_invalid_port_names_the_lowest_index_offender() {
+    misbehave_pooled(true);
+}
+
+#[test]
+#[should_panic(expected = "algorithm violation: node n2047 (degree 2) sent twice on port 0 in \
+                           round 1")]
+fn pooled_double_send_names_the_lowest_index_offender() {
+    misbehave_pooled(false);
 }
 
 /// A contract-conforming protocol that goes **quiescent while undecided**:

@@ -6,7 +6,7 @@
 //! a per-node component stamp, a flat member list grouped by component,
 //! and per-component offsets into it. The stamp table doubles as the BFS
 //! "seen" scratch (a node is visited iff its stamp is set — the stamped-
-//! scratch idiom the routing arena uses), and the member list doubles as
+//! scratch idiom the ball cache uses), and the member list doubles as
 //! the BFS queue, so the whole pass is `O(n + m)` with exactly three
 //! allocations and no per-component `Vec` churn.
 //!
@@ -17,7 +17,7 @@
 //! (no message ever crosses components), so shards can run concurrently
 //! with no synchronization and stitch outputs back in node order.
 
-use crate::{EdgeId, Graph, NodeId, Side};
+use crate::{EdgeId, Graph, HalfEdge, NodeId, Side};
 
 const UNSTAMPED: u32 = u32::MAX;
 
@@ -130,35 +130,64 @@ impl Components {
     /// node-count-sized mapping, and the component's edges are recovered
     /// from its own port slices (each edge surfaces once, at its
     /// [`Side::A`] endpoint — components are edge-closed) rather than by
-    /// scanning the whole edge table. This is what makes component-sharded
-    /// execution viable: carving all `k` shards out of a huge graph costs
-    /// `O(n + m log m)` total, not `O(k · (n + m))`.
+    /// scanning the whole edge table. The tables are then written packed
+    /// in one pass instead of edge by edge. This is what makes
+    /// component-sharded execution viable: carving all `k` shards out of a
+    /// huge graph costs `O(n + m log m)` total, not `O(k · (n + m))`.
     ///
     /// `g` must be the graph this partition was computed from.
     #[must_use]
     pub fn extract(&self, g: &Graph, c: usize) -> Graph {
         let members = self.members(c);
-        let mut sub = Graph::with_capacity(members.len(), 0);
-        for _ in members {
-            sub.add_node();
-        }
-        let mut edges: Vec<EdgeId> = Vec::new();
+        let mut global: Vec<EdgeId> = Vec::new();
         for &v in members {
             for &h in g.ports(v) {
                 if h.side() == Side::A {
-                    edges.push(h.edge());
+                    global.push(h.edge());
                 }
             }
         }
         // Ascending edge-id order is the order `induced_subgraph` (which
         // walks the global edge table) adds them in; matching it keeps the
         // two constructions interchangeable.
-        edges.sort_unstable();
-        for e in edges {
-            let [a, b] = g.endpoints(e);
-            sub.add_edge(NodeId(self.local_of[a.index()]), NodeId(self.local_of[b.index()]));
+        global.sort_unstable();
+        let edges: Vec<[NodeId; 2]> = global
+            .iter()
+            .map(|&e| g.endpoints(e).map(|v| NodeId(self.local_of[v.index()])))
+            .collect();
+        let degrees: Vec<u32> = members.iter().map(|&v| g.degree(v) as u32).collect();
+        let mut port_offsets = Vec::with_capacity(members.len());
+        let mut slab_len = 0u32;
+        for &d in &degrees {
+            port_offsets.push(slab_len);
+            slab_len += d;
         }
-        sub
+        // Each edge takes the next free port at each endpoint (side A
+        // first, so a self-loop holds two consecutive ports), exactly as
+        // `Graph::add_edge` would assign them.
+        let mut next_port = vec![0u32; members.len()];
+        let mut slab = vec![HalfEdge::new(EdgeId(0), Side::A); slab_len as usize];
+        let mut half_port = vec![0u32; 2 * edges.len()];
+        for (k, ends) in edges.iter().enumerate() {
+            for side in [Side::A, Side::B] {
+                let h = HalfEdge::new(EdgeId(k as u32), side);
+                let v = ends[side.index()].index();
+                slab[(port_offsets[v] + next_port[v]) as usize] = h;
+                half_port[h.index()] = next_port[v];
+                next_port[v] += 1;
+            }
+        }
+        let peer_node = (0..2 * edges.len()).map(|h| edges[h / 2][1 - h % 2]).collect();
+        let peer_port = (0..2 * edges.len()).map(|h| half_port[h ^ 1]).collect();
+        Graph::from_packed_tables(
+            slab,
+            port_offsets,
+            degrees,
+            edges,
+            half_port,
+            peer_node,
+            peer_port,
+        )
     }
 }
 

@@ -19,10 +19,15 @@
 //!   complexity** is the maximum (this is the number the experiments plot);
 //! * the **round engine** ([`run_rounds`], [`RoundAlgorithm`]): explicit
 //!   synchronous message passing, for algorithms whose natural unit is the
-//!   round (the randomized propose/retry algorithms). The default engine is
-//!   **event-driven**: only nodes whose closed neighborhood was active last
-//!   round are re-executed; the dense oracle ([`run_rounds_dense`]) executes
-//!   every node every round and is bit-identical for algorithms honoring the
+//!   round (the randomized propose/retry algorithms). One engine serves
+//!   every entry point. Messages travel through a **port plane**: each
+//!   node's outbox slots sit in node-major CSR order, the send phase writes
+//!   them and the receive phase pulls each inbox through a per-run table of
+//!   mated ports, both fanned across a [`NodeExecutor`] in node-contiguous
+//!   chunks. By default only the **active frontier** runs — nodes whose
+//!   closed neighborhood sent a message last round; the dense oracle
+//!   ([`run_rounds_dense`]) runs every node every round and is
+//!   bit-identical for algorithms honoring the
 //!   [sparse-execution contract](RoundAlgorithm#sparse-execution-contract).
 //!
 //! Randomness is reproducible: every node draws from its own

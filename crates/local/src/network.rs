@@ -107,6 +107,17 @@ impl Network {
         Network { graph, ids, n_known: n, max_deg }
     }
 
+    /// A component part of `net` (see [`crate::map_components`]): `graph`
+    /// is the component as a packed graph, `ids` its members' ids in
+    /// `net`, and the part announces `net`'s `(n, Δ)`. The ids are a
+    /// restriction of `net`'s unique, positive ids, so unlike
+    /// [`Network::with_ids`] this skips re-validating them.
+    pub(crate) fn part_of(net: &Network, graph: Graph, ids: Vec<u64>) -> Network {
+        debug_assert_eq!(ids.len(), graph.node_count(), "one id per node required");
+        debug_assert!(graph.max_degree() <= net.max_deg, "a part cannot exceed its network's Δ");
+        Network { graph, ids, n_known: net.n_known, max_deg: net.max_deg }
+    }
+
     /// Overrides the `n` announced to nodes (the paper often gives nodes an
     /// *upper bound* on `n`, e.g. when a padded graph is filled up with
     /// isolated nodes in Lemma 5).

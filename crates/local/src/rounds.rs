@@ -1,33 +1,48 @@
 //! The round engine: explicit synchronous message passing.
 //!
-//! Two semantically identical engines live here:
+//! One engine runs every entry point, generic over the [`NodeExecutor`]
+//! and over which nodes a round executes:
 //!
-//! * the **event-driven sparse engine** ([`run_rounds`],
-//!   [`run_rounds_with`]) — the default. A node is re-executed in round
-//!   `r` only if it deposited a message in round `r − 1` or a message was
-//!   deposited *to* it in round `r − 1` (the **active frontier**, tracked
-//!   with the same stamp-per-node membership idiom as the routing arena).
-//!   On workloads whose activity collapses to a thin frontier — late Luby
-//!   rounds, sinkless orientation after orientations settle — per-round
-//!   cost drops from `O(n + m)` to `O(frontier)`.
-//! * the **dense oracle** ([`run_rounds_dense`],
-//!   [`run_rounds_dense_with`]) — every node executes every round. It is
-//!   the correctness reference: for any algorithm honoring the
+//! * the **active frontier** ([`run_rounds`], [`run_rounds_with`]), the
+//!   default: a node runs in round `r` only if it sent a message in round
+//!   `r − 1` or a message was sent *to* it then. When activity collapses
+//!   to a thin frontier — late Luby rounds, sinkless orientation after
+//!   orientations settle — a round costs `O(frontier)` plus an
+//!   `n / 64`-word bitmap scan instead of `O(n + m)`.
+//! * **every node** ([`run_rounds_dense`], [`run_rounds_dense_with`]): the
+//!   dense oracle. For algorithms honoring the
 //!   [sparse-execution contract](RoundAlgorithm#sparse-execution-contract)
-//!   the two engines are **bit-identical** (outputs and
-//!   [`RoundTrace`]), which the equivalence proptests and the CI
-//!   determinism legs enforce. Setting the `LCL_DENSE_ROUNDS` environment
-//!   variable (to anything but `0` or empty) forces the dense engine
-//!   behind the [`run_rounds`]/[`run_rounds_with`] entry points — the
-//!   escape hatch CI uses to byte-compare persisted runs across engines.
+//!   both give **bit-identical** outputs and [`RoundTrace`]s, which the
+//!   equivalence proptests and the CI determinism legs enforce. Setting
+//!   `LCL_DENSE_ROUNDS` (to anything but `0` or empty) selects it behind
+//!   [`run_rounds`]/[`run_rounds_with`], so CI can byte-compare runs.
+//!
+//! Messages travel through a **port plane**: outbox slots in node-major CSR
+//! order, node `v` owning slots `first[v]..first[v + 1]` (one per port, a
+//! `u32` round stamp plus the message). A round is two pooled phases over
+//! the frontier, cut into chunks of `CHUNK` frontier nodes; a chunk covers
+//! a node-contiguous range, so `split_at_mut` hands each worker its own
+//! slots, states and outputs.
+//!
+//! 1. **Send:** each frontier node writes its `send` result into its own
+//!    slots and marks itself and its receivers in a bitmap (atomic OR); a
+//!    word scan then yields the next frontier in index order.
+//! 2. **Receive:** each node of that frontier pulls its inbox in port
+//!    order through the per-run `mate` table (receiving port → the slot
+//!    feeding it), runs `receive` on its `(state, rng)` cell in place, and
+//!    is polled for its output in the same pass.
+//!
+//! Every node's RNG stream is its own, so outcomes are bit-identical under
+//! **any** executor.
 
-use crate::exec::NodeExecutor;
+use crate::exec::{NodeExecutor, Sequential};
 use crate::network::Network;
 use crate::trace::RoundTrace;
 use crate::views::rand_word;
-use lcl_graph::NodeId;
+use lcl_graph::{Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-node context handed to a [`RoundAlgorithm`]: the quantities the
 /// LOCAL model announces, plus the node's identity and degree.
@@ -58,7 +73,7 @@ pub struct NodeCtx {
 ///
 /// # Sparse execution contract
 ///
-/// The default engine ([`run_rounds`]) is event-driven: a node whose
+/// The default policy ([`run_rounds`]) is event-driven: a node whose
 /// closed in-neighborhood went silent is not executed at all. For that to
 /// be indistinguishable from the dense oracle ([`run_rounds_dense`]),
 /// implementations must satisfy three properties:
@@ -67,19 +82,19 @@ pub struct NodeCtx {
 ///    already enforces this (no RNG, no `&mut`): a node whose state did
 ///    not change resends exactly what it sent last round, or stays silent.
 /// 2. **Silent and deaf ⇒ inert.** In any round where a node sent no
-///    messages *and* received none, its `receive` (which the dense engine
+///    messages *and* received none, its `receive` (which the dense oracle
 ///    still calls, with an empty inbox) must leave the state untouched and
 ///    must not draw from the RNG. A node that needs to make progress while
 ///    hearing nothing must keep itself scheduled by sending a message
 ///    (e.g. a keep-alive on one port); a node that is done must stop
 ///    sending.
 /// 3. **`output` is a pure, stable function of state**: after returning
-///    `Some`, later calls return the same value. The engines exploit this
+///    `Some`, later calls return the same value. The engine exploits this
 ///    by polling a node's output only when it was re-executed.
 ///
 /// Both shipped protocols (`luby_rounds`, `matching_rounds`) follow the
-/// contract; the dense engine remains available as the oracle for
-/// algorithms that cannot.
+/// contract; the dense oracle remains available for algorithms that
+/// cannot.
 pub trait RoundAlgorithm {
     /// Per-node mutable state.
     type State;
@@ -160,48 +175,12 @@ fn dense_override() -> bool {
     })
 }
 
-/// Per-node contexts for a run (ids, degrees, announced quantities).
-fn node_ctxs(net: &Network) -> Vec<NodeCtx> {
-    let g = net.graph();
-    g.nodes()
-        .map(|v| NodeCtx {
-            id: net.id_of(v),
-            degree: g.degree(v),
-            known_n: net.known_n(),
-            max_degree: net.max_degree(),
-        })
-        .collect()
-}
-
-/// Per-node counter-mode RNG streams seeded from `(seed, id(v))`.
-fn node_rngs(net: &Network, seed: u64) -> Vec<ChaCha8Rng> {
-    net.graph()
-        .nodes()
-        .map(|v| ChaCha8Rng::seed_from_u64(rand_word(seed, net.id_of(v), 0x0C0D_E5EED)))
-        .collect()
-}
-
-/// Packs per-node outputs and round accounting into a [`RoundOutcome`],
-/// recording `(index, id)` for every undecided node.
-fn finish_outcome<O>(
-    outputs: Vec<Option<O>>,
-    ctxs: &[NodeCtx],
-    rounds: u32,
-    completed: bool,
-) -> RoundOutcome<O> {
-    let undecided = outputs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| if o.is_none() { Some((i, ctxs[i].id)) } else { None })
-        .collect();
-    RoundOutcome { outputs, trace: RoundTrace { rounds, completed }, undecided }
-}
-
-/// Runs a round algorithm for at most `max_rounds` rounds on the
-/// event-driven sparse engine.
+/// Runs a round algorithm for at most `max_rounds` rounds on the active
+/// frontier, on the calling thread ([`run_rounds_with`] under
+/// [`Sequential`]).
 ///
-/// A node is executed in a round only if it or a neighbor deposited a
-/// message last round (see the
+/// A node is executed in a round only if it or a neighbor sent a message
+/// last round (see the
 /// [sparse-execution contract](RoundAlgorithm#sparse-execution-contract));
 /// when the frontier goes quiescent with undecided nodes left, no state
 /// can ever change again, so the engine fast-forwards straight to the
@@ -210,88 +189,27 @@ fn finish_outcome<O>(
 ///
 /// Determinism: node `v`'s RNG stream is seeded from `(seed, id(v))`, so a
 /// run is reproducible and independent of node iteration order.
-pub fn run_rounds<A: RoundAlgorithm>(
-    net: &Network,
-    alg: &A,
-    seed: u64,
-    max_rounds: u32,
-) -> RoundOutcome<A::Output> {
-    if dense_override() {
-        return run_rounds_dense(net, alg, seed, max_rounds);
-    }
-    let g = net.graph();
-    let n = g.node_count();
-    let ctxs = node_ctxs(net);
-    let mut rngs = node_rngs(net, seed);
-    let mut states: Vec<A::State> = (0..n).map(|i| alg.init(&ctxs[i], &mut rngs[i])).collect();
-    let mut outputs: Vec<Option<A::Output>> =
-        (0..n).map(|i| alg.output(&states[i], &ctxs[i])).collect();
-    let mut undecided = outputs.iter().filter(|o| o.is_none()).count();
-
-    let mut arena = RouteArena::new(g);
-    // Round 1 executes everyone (the dense engine calls every node's
-    // `send`); from then on the frontier is senders ∪ receivers.
-    let mut cur = ActiveSet::with_all(n);
-    let mut next = ActiveSet::with_none(n);
-    let mut rounds = 0;
-    let mut completed = undecided == 0;
-    while !completed && rounds < max_rounds {
-        arena.begin_round();
-        next.begin();
-        // Send phase: deposits go straight into the routing arena — no
-        // outbox materialization. A node that deposited re-schedules
-        // itself; the arena records the receivers.
-        for &vi in cur.nodes() {
-            let i = vi as usize;
-            let msgs = alg.send(&states[i], &ctxs[i]);
-            if !msgs.is_empty() {
-                next.insert(vi);
-            }
-            for (port, msg) in msgs {
-                arena.deposit(g, NodeId(vi), port, msg);
-            }
-        }
-        arena.compact_receivers(g);
-        for &w in arena.receivers() {
-            next.insert(w);
-        }
-        // Receive phase: exactly the senders and receivers of this round —
-        // every other node's dense `receive` is inert by contract.
-        for &vi in next.nodes() {
-            let i = vi as usize;
-            alg.receive(&mut states[i], &ctxs[i], arena.inbox(NodeId(vi)), &mut rngs[i]);
-        }
-        // Incremental decided check: only re-executed nodes are re-polled.
-        for &vi in next.nodes() {
-            let i = vi as usize;
-            if outputs[i].is_none() {
-                outputs[i] = alg.output(&states[i], &ctxs[i]);
-                if outputs[i].is_some() {
-                    undecided -= 1;
-                }
-            }
-        }
-        rounds += 1;
-        completed = undecided == 0;
-        std::mem::swap(&mut cur, &mut next);
-        if !completed && cur.nodes().is_empty() {
-            // Quiescent but undecided: no node will ever run again, so the
-            // dense engine would spin unchanged until the cap.
-            rounds = max_rounds;
-        }
-    }
-
-    finish_outcome(outputs, &ctxs, rounds, completed)
+///
+/// # Panics
+///
+/// Panics — attributed as an **algorithm violation**, with node, degree,
+/// port, and round — if a node breaks the [`RoundAlgorithm::send`]
+/// contract: a port it does not have, or two messages on one port. When
+/// several nodes offend in a round, it names the lowest-index one under
+/// every executor.
+pub fn run_rounds<A>(net: &Network, alg: &A, seed: u64, max_rounds: u32) -> RoundOutcome<A::Output>
+where
+    A: RoundAlgorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+    A::Output: Send,
+{
+    run_rounds_with(net, alg, seed, max_rounds, &Sequential)
 }
 
-/// [`run_rounds`] with a pluggable [`NodeExecutor`].
-///
-/// The `send` and `receive` steps of every round fan out across the
-/// executor **over the active frontier only**; message routing stays
-/// sequential (it is a cheap permutation, and keeping it ordered
-/// guarantees inboxes — and the frontier itself — identical to the
-/// sequential engine). Node RNG streams are per-node, so outcomes are
-/// bit-identical to [`run_rounds`] under **any** executor.
+/// [`run_rounds`] with a pluggable [`NodeExecutor`]: both phases of every
+/// round fan out across the executor over the active frontier, and the
+/// outcome is bit-identical to [`run_rounds`] under **any** executor.
 pub fn run_rounds_with<A, X>(
     net: &Network,
     alg: &A,
@@ -303,159 +221,34 @@ where
     A: RoundAlgorithm + Sync,
     A::State: Send + Sync,
     A::Msg: Send + Sync,
-    A::Output: Clone + Send,
+    A::Output: Send,
     X: NodeExecutor,
 {
-    if dense_override() {
-        return run_rounds_dense_with(net, alg, seed, max_rounds, exec);
-    }
-    let g = net.graph();
-    let n = g.node_count();
-    let ctxs = node_ctxs(net);
-    // Per-node state and RNG live side by side so one executor pass can
-    // mutate both; the `Option` lets the receive phase move the active
-    // cells into a compact scratch block the executor can chunk.
-    let mut cells: Vec<Option<(A::State, ChaCha8Rng)>> = exec.map_nodes(n, |i| {
-        let mut rng = ChaCha8Rng::seed_from_u64(rand_word(seed, ctxs[i].id, 0x0C0D_E5EED));
-        let state = alg.init(&ctxs[i], &mut rng);
-        Some((state, rng))
-    });
-    let mut outputs: Vec<Option<A::Output>> = exec
-        .map_nodes(n, |i| alg.output(&cells[i].as_ref().expect("cell is resident").0, &ctxs[i]));
-    let mut undecided = outputs.iter().filter(|o| o.is_none()).count();
-
-    // The outbox container and the scratch block are engine-owned and
-    // reused across rounds; slot `k` of either belongs to the `k`-th
-    // frontier node of the current round.
-    let mut outboxes: Vec<Vec<(usize, A::Msg)>> = Vec::new();
-    outboxes.resize_with(n, Vec::new);
-    let mut scratch: Vec<(A::State, ChaCha8Rng)> = Vec::with_capacity(n);
-    let mut arena = RouteArena::new(g);
-    let mut cur = ActiveSet::with_all(n);
-    let mut next = ActiveSet::with_none(n);
-    let mut rounds = 0;
-    let mut completed = undecided == 0;
-    while !completed && rounds < max_rounds {
-        let active_len = cur.nodes().len();
-        {
-            let active = cur.nodes();
-            let cells_ref = &cells;
-            exec.update_nodes(&mut outboxes[..active_len], |k, outbox| {
-                let i = active[k] as usize;
-                let (state, _) = cells_ref[i].as_ref().expect("cell is resident");
-                *outbox = alg.send(state, &ctxs[i]);
-            });
-        }
-        arena.begin_round();
-        next.begin();
-        for (k, outbox) in outboxes.iter_mut().enumerate().take(active_len) {
-            let vi = cur.nodes()[k];
-            if !outbox.is_empty() {
-                next.insert(vi);
-            }
-            for (port, msg) in outbox.drain(..) {
-                arena.deposit(g, NodeId(vi), port, msg);
-            }
-        }
-        arena.compact_receivers(g);
-        for &w in arena.receivers() {
-            next.insert(w);
-        }
-        scratch.clear();
-        for &vi in next.nodes() {
-            scratch.push(cells[vi as usize].take().expect("cell is resident"));
-        }
-        {
-            let active = next.nodes();
-            let arena_ref = &arena;
-            exec.update_nodes(&mut scratch, |k, (state, rng)| {
-                let vi = active[k];
-                alg.receive(state, &ctxs[vi as usize], arena_ref.inbox(NodeId(vi)), rng);
-            });
-        }
-        for (k, cell) in scratch.drain(..).enumerate() {
-            cells[next.nodes()[k] as usize] = Some(cell);
-        }
-        for &vi in next.nodes() {
-            let i = vi as usize;
-            if outputs[i].is_none() {
-                outputs[i] = alg.output(&cells[i].as_ref().expect("cell is resident").0, &ctxs[i]);
-                if outputs[i].is_some() {
-                    undecided -= 1;
-                }
-            }
-        }
-        rounds += 1;
-        completed = undecided == 0;
-        std::mem::swap(&mut cur, &mut next);
-        if !completed && cur.nodes().is_empty() {
-            rounds = max_rounds;
-        }
-    }
-
-    finish_outcome(outputs, &ctxs, rounds, completed)
+    let frontier = if dense_override() { Frontier::All } else { Frontier::Active };
+    run_engine(net, alg, seed, max_rounds, exec, frontier)
 }
 
-/// The dense oracle: every node executes every round, sequentially.
-///
-/// Semantically identical to [`run_rounds`] for contract-honoring
-/// algorithms (enforced by proptests and CI); kept as the correctness
-/// reference and for algorithms that rely on being called while idle.
-pub fn run_rounds_dense<A: RoundAlgorithm>(
+/// The dense oracle: every node executes every round, on the calling
+/// thread. Bit-identical to [`run_rounds`] for contract-honoring algorithms
+/// (enforced by proptests and CI); kept as the correctness reference and
+/// for algorithms that rely on being called while idle.
+pub fn run_rounds_dense<A>(
     net: &Network,
     alg: &A,
     seed: u64,
     max_rounds: u32,
-) -> RoundOutcome<A::Output> {
-    let g = net.graph();
-    let n = g.node_count();
-    let ctxs = node_ctxs(net);
-    let mut rngs = node_rngs(net, seed);
-    let mut states: Vec<A::State> = (0..n).map(|i| alg.init(&ctxs[i], &mut rngs[i])).collect();
-    // The decided check is incremental: a node is re-polled only while
-    // undecided, the final outputs are exactly the accumulated polls (no
-    // second `output` pass, no per-round scratch allocation).
-    let mut outputs: Vec<Option<A::Output>> =
-        (0..n).map(|i| alg.output(&states[i], &ctxs[i])).collect();
-    let mut undecided = outputs.iter().filter(|o| o.is_none()).count();
-
-    let mut arena = RouteArena::new(g);
-    let mut rounds = 0;
-    let mut completed = undecided == 0;
-    while !completed && rounds < max_rounds {
-        arena.begin_round();
-        for i in 0..n {
-            for (port, msg) in alg.send(&states[i], &ctxs[i]) {
-                arena.deposit(g, NodeId(i as u32), port, msg);
-            }
-        }
-        arena.compact_all(g);
-        for v in g.nodes() {
-            alg.receive(
-                &mut states[v.index()],
-                &ctxs[v.index()],
-                arena.inbox(v),
-                &mut rngs[v.index()],
-            );
-        }
-        for i in 0..n {
-            if outputs[i].is_none() {
-                outputs[i] = alg.output(&states[i], &ctxs[i]);
-                if outputs[i].is_some() {
-                    undecided -= 1;
-                }
-            }
-        }
-        rounds += 1;
-        completed = undecided == 0;
-    }
-
-    finish_outcome(outputs, &ctxs, rounds, completed)
+) -> RoundOutcome<A::Output>
+where
+    A: RoundAlgorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+    A::Output: Send,
+{
+    run_engine(net, alg, seed, max_rounds, &Sequential, Frontier::All)
 }
 
-/// [`run_rounds_dense`] with a pluggable [`NodeExecutor`] — the dense
-/// oracle counterpart of [`run_rounds_with`], bit-identical to
-/// [`run_rounds_dense`] under **any** executor.
+/// [`run_rounds_dense`] with a pluggable [`NodeExecutor`], bit-identical
+/// to it under **any** executor.
 pub fn run_rounds_dense_with<A, X>(
     net: &Network,
     alg: &A,
@@ -467,262 +260,268 @@ where
     A: RoundAlgorithm + Sync,
     A::State: Send + Sync,
     A::Msg: Send + Sync,
-    A::Output: Clone + Send,
+    A::Output: Send,
     X: NodeExecutor,
 {
-    let g = net.graph();
-    let n = g.node_count();
-    let ctxs = node_ctxs(net);
-    // Per-node state and RNG live side by side so one executor pass can
-    // mutate both.
-    let mut cells: Vec<(A::State, ChaCha8Rng)> = exec.map_nodes(n, |i| {
-        let mut rng = ChaCha8Rng::seed_from_u64(rand_word(seed, ctxs[i].id, 0x0C0D_E5EED));
-        let state = alg.init(&ctxs[i], &mut rng);
-        (state, rng)
+    run_engine(net, alg, seed, max_rounds, exec, Frontier::All)
+}
+
+/// Frontier nodes per pooled work item.
+const CHUNK: usize = 512;
+
+/// Which nodes a round executes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Frontier {
+    /// Last round's senders and receivers (round 1: every node).
+    Active,
+    /// Every node, every round: the dense oracle.
+    All,
+}
+
+/// The engine behind every `run_rounds*` entry point.
+fn run_engine<A, X>(
+    net: &Network,
+    alg: &A,
+    seed: u64,
+    max_rounds: u32,
+    exec: &X,
+    frontier: Frontier,
+) -> RoundOutcome<A::Output>
+where
+    A: RoundAlgorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+    A::Output: Send,
+    X: NodeExecutor,
+{
+    let n = net.len();
+    let ids = net.ids();
+    let plane = PortPlane::new(net.graph());
+    let ctx = |v: usize| NodeCtx {
+        id: ids[v],
+        degree: plane.degree(v),
+        known_n: net.known_n(),
+        max_degree: net.max_degree(),
+    };
+    // Per-node state and RNG live side by side, so one pass mutates both.
+    let mut cells: Vec<(A::State, ChaCha8Rng)> = exec.map_nodes(n, |v| {
+        let mut rng = ChaCha8Rng::seed_from_u64(rand_word(seed, ids[v], 0x0C0D_E5EED));
+        (alg.init(&ctx(v), &mut rng), rng)
     });
-    // The decided check reuses one `Option<Output>` buffer for the whole
-    // run (no per-round allocation), polling a node only while undecided;
+    // Outputs are polled only for nodes that ran and only while undecided;
     // the buffer doubles as the final outputs.
     let mut outputs: Vec<Option<A::Output>> =
-        exec.map_nodes(n, |i| alg.output(&cells[i].0, &ctxs[i]));
+        exec.map_nodes(n, |v| alg.output(&cells[v].0, &ctx(v)));
+    let mut undecided = outputs.iter().filter(|o| o.is_none()).count();
 
-    // The outbox container and the routing arena are engine-owned and
-    // reused across rounds. The per-node inner vectors are still fresh
-    // each round — `send` returns an owned `Vec` by contract (see the
-    // ROADMAP open item on an outbox-writer API).
-    let mut outboxes: Vec<Vec<(usize, A::Msg)>> = Vec::new();
-    outboxes.resize_with(n, Vec::new);
-    let mut arena = RouteArena::new(g);
+    let mut slots: Vec<Slot<A::Msg>> =
+        (0..plane.mate.len()).map(|_| Slot { stamp: 0, msg: None }).collect();
+    let mut marks: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+    // Round 1 executes everyone, as the dense oracle does.
+    let mut nodes: Vec<u32> = (0..n as u32).collect();
     let mut rounds = 0;
-    let mut completed = outputs.iter().all(Option::is_some);
+    let mut completed = undecided == 0;
     while !completed && rounds < max_rounds {
-        exec.update_nodes(&mut outboxes, |i, outbox| {
-            *outbox = alg.send(&cells[i].0, &ctxs[i]);
-        });
-        arena.begin_round();
-        for (i, outbox) in outboxes.iter_mut().enumerate() {
-            for (port, msg) in outbox.drain(..) {
-                arena.deposit(g, NodeId(i as u32), port, msg);
-            }
-        }
-        arena.compact_all(g);
-        let arena_ref = &arena;
-        exec.update_nodes(&mut cells, |i, (state, rng)| {
-            alg.receive(state, &ctxs[i], arena_ref.inbox(NodeId(i as u32)), rng);
-        });
-        {
-            let cells_ref = &cells;
-            exec.update_nodes(&mut outputs, |i, slot| {
-                if slot.is_none() {
-                    *slot = alg.output(&cells_ref[i].0, &ctxs[i]);
+        let round = rounds + 1;
+        let marking = (frontier == Frontier::Active).then_some(&marks[..]);
+
+        // Send: each frontier node fills its own outbox slots.
+        let starts: Vec<usize> =
+            nodes.chunks(CHUNK).map(|c| plane.first[c[0] as usize] as usize).collect();
+        let mut work: Vec<SendChunk<'_, A::Msg>> = nodes
+            .chunks(CHUNK)
+            .zip(carve(&mut slots, &starts))
+            .map(|(nodes, slots)| SendChunk { nodes, slots, violation: None })
+            .collect();
+        exec.update_nodes(&mut work, |_, chunk| {
+            let base = plane.first[chunk.nodes[0] as usize] as usize;
+            for &v in chunk.nodes {
+                let vi = v as usize;
+                let msgs = alg.send(&cells[vi].0, &ctx(vi));
+                if msgs.is_empty() {
+                    continue;
                 }
-            });
-        }
-        rounds += 1;
-        completed = outputs.iter().all(Option::is_some);
-    }
-
-    finish_outcome(outputs, &ctxs, rounds, completed)
-}
-
-/// A dense stamped membership set over node indices: `O(1)` insert and
-/// membership, `O(active)` iteration and reset — the [`RouteArena`]
-/// stamping idiom applied to frontier tracking. Insertion order is
-/// preserved, so iteration is deterministic.
-struct ActiveSet {
-    /// Per node: member iff equal to `epoch`.
-    stamps: Vec<u64>,
-    epoch: u64,
-    /// Members, in insertion order.
-    list: Vec<u32>,
-}
-
-impl ActiveSet {
-    /// A set containing every node (the round-1 frontier).
-    fn with_all(n: usize) -> ActiveSet {
-        ActiveSet { stamps: vec![1; n], epoch: 1, list: (0..n as u32).collect() }
-    }
-
-    /// An empty set.
-    fn with_none(n: usize) -> ActiveSet {
-        ActiveSet { stamps: vec![0; n], epoch: 0, list: Vec::new() }
-    }
-
-    /// Clears the set in `O(1)` (stale stamps simply no longer match).
-    fn begin(&mut self) {
-        self.epoch += 1;
-        self.list.clear();
-    }
-
-    fn insert(&mut self, v: u32) {
-        let slot = &mut self.stamps[v as usize];
-        if *slot != self.epoch {
-            *slot = self.epoch;
-            self.list.push(v);
-        }
-    }
-
-    /// Members in insertion order.
-    fn nodes(&self) -> &[u32] {
-        &self.list
-    }
-}
-
-/// Reusable `O(n + m)` message-routing scratch for the round engines.
-///
-/// The pre-CSR router materialized `Vec<Vec<(port, Msg)>>` inboxes from
-/// scratch every round and resolved each receiving port with
-/// [`lcl_graph::Graph::port_of`], then a linear scan — `O(Σ deg²)` per
-/// round plus `2n` vector allocations. The arena instead exploits that a
-/// round delivers **at most one message per receiving half-edge**: a
-/// message sent on port `p` of `v` crosses half-edge `h` and lands in the
-/// slot indexed by `h.opposite()` ([`lcl_graph::HalfEdge::index`] is
-/// dense), stamped
-/// with the round number so slots invalidate in `O(1)`. A compaction pass
-/// then walks the receiving nodes' CSR port tables in order, concatenating
-/// the occupied slots into one flat inbox array — which both sorts each
-/// inbox by receiving port (matching the old router's contract exactly)
-/// and yields per-node slices without any per-node allocation. All buffers
-/// are allocated once per run and reused across rounds.
-///
-/// For the sparse engine, `deposit` additionally records the set of
-/// receiving nodes (stamped, first-deposit order), so compaction touches
-/// only `O(messages)` ports ([`RouteArena::compact_receivers`]) and the
-/// engine can fold the receivers into the next frontier. The dense engines
-/// compact every node ([`RouteArena::compact_all`]).
-struct RouteArena<M> {
-    /// Per receiving half-edge: the message in flight this round.
-    slots: Vec<Option<M>>,
-    /// Per receiving half-edge: round stamp; the slot is live iff equal to
-    /// `round`.
-    stamps: Vec<u64>,
-    /// Current round stamp (starts at 1 so zeroed stamps read as stale).
-    round: u64,
-    /// Flat inbox storage, segmented by `inbox_ranges`.
-    inbox: Vec<(usize, M)>,
-    /// Per node: this round's inbox segment, valid iff the node's
-    /// `recv_stamps` entry equals `round`.
-    inbox_ranges: Vec<(usize, usize)>,
-    /// Per node: stamp of the last round it received a message (or was
-    /// compacted by the dense pass).
-    recv_stamps: Vec<u64>,
-    /// Nodes that received at least one message this round, in
-    /// first-deposit order.
-    receivers: Vec<u32>,
-}
-
-impl<M> RouteArena<M> {
-    fn new(g: &lcl_graph::Graph) -> RouteArena<M> {
-        let mut slots = Vec::new();
-        slots.resize_with(2 * g.edge_count(), || None);
-        RouteArena {
-            slots,
-            stamps: vec![0; 2 * g.edge_count()],
-            round: 0,
-            inbox: Vec::new(),
-            inbox_ranges: vec![(0, 0); g.node_count()],
-            recv_stamps: vec![0; g.node_count()],
-            receivers: Vec::new(),
-        }
-    }
-
-    /// Invalidates all slots (`O(1)`) and clears the flat inboxes and the
-    /// receiver set.
-    fn begin_round(&mut self) {
-        self.round += 1;
-        self.inbox.clear();
-        self.receivers.clear();
-    }
-
-    /// Routes one message sent on `port` of `v` into its receiving slot,
-    /// recording the receiving node.
-    ///
-    /// # Panics
-    ///
-    /// Panics — attributed as an **algorithm violation**, with node,
-    /// degree, port, and round — if the port does not exist at `v` or
-    /// already carried a message this round (the
-    /// [`RoundAlgorithm::send`] contract allows at most one message per
-    /// port). The engine itself cannot recover: a protocol that addresses
-    /// ports it does not have is broken code, not a bad instance.
-    fn deposit(&mut self, g: &lcl_graph::Graph, v: NodeId, port: usize, msg: M) {
-        let h = g.half_edge_at_port(v, port).unwrap_or_else(|| {
-            panic!(
-                "algorithm violation: node {v:?} (degree {deg}) sent on invalid port {port} in \
-                 round {round}",
-                deg = g.degree(v),
-                round = self.round,
-            )
-        });
-        let slot = h.opposite().index();
-        assert!(
-            self.stamps[slot] != self.round,
-            "algorithm violation: node {v:?} (degree {deg}) sent twice on port {port} in round \
-             {round}",
-            deg = g.degree(v),
-            round = self.round,
-        );
-        self.stamps[slot] = self.round;
-        self.slots[slot] = Some(msg);
-        let w = g.half_edge_peer(h);
-        if self.recv_stamps[w.index()] != self.round {
-            self.recv_stamps[w.index()] = self.round;
-            self.receivers.push(w.0);
-        }
-    }
-
-    /// Nodes that received at least one message this round, in
-    /// first-deposit order (valid after [`RouteArena::compact_receivers`]
-    /// or any time after the deposits).
-    fn receivers(&self) -> &[u32] {
-        &self.receivers
-    }
-
-    /// Gathers this round's live slots into the flat per-node inboxes, in
-    /// port order, touching **only the receiving nodes**: `O(messages +
-    /// Σ deg(receivers))`.
-    fn compact_receivers(&mut self, g: &lcl_graph::Graph) {
-        for k in 0..self.receivers.len() {
-            let v = NodeId(self.receivers[k]);
-            let start = self.inbox.len();
-            for (p, &h) in g.ports(v).iter().enumerate() {
-                let slot = h.index();
-                if self.stamps[slot] == self.round {
-                    let msg = self.slots[slot].take().expect("stamped slot holds a message");
-                    self.inbox.push((p, msg));
+                let first = plane.first[vi] as usize;
+                let own = &mut chunk.slots[first - base..][..plane.degree(vi)];
+                if let Some(marks) = marking {
+                    mark(marks, v);
+                }
+                for (port, msg) in msgs {
+                    let breach = match own.get_mut(port) {
+                        Some(slot) if slot.stamp != round => {
+                            *slot = Slot { stamp: round, msg: Some(msg) };
+                            if let Some(marks) = marking {
+                                mark(marks, plane.peer[first + port]);
+                            }
+                            continue;
+                        }
+                        Some(_) => "sent twice on port",
+                        None => "sent on invalid port",
+                    };
+                    chunk.violation = Some(format!(
+                        "algorithm violation: node {:?} (degree {}) {breach} {port} in round \
+                         {round}",
+                        NodeId(v),
+                        plane.degree(vi),
+                    ));
+                    return;
                 }
             }
-            self.inbox_ranges[v.index()] = (start, self.inbox.len());
+        });
+        // Chunks run in index order and stop at their first offender, so
+        // the first recorded violation is the lowest-index one.
+        if let Some(violation) = work.iter().find_map(|c| c.violation.as_ref()) {
+            panic!("{violation}");
+        }
+        if frontier == Frontier::Active {
+            drain_marks(&mut marks, &mut nodes);
+        }
+
+        // Receive: each node pulls its inbox and updates its cell in place.
+        let starts: Vec<usize> = nodes.chunks(CHUNK).map(|c| c[0] as usize).collect();
+        let mut work: Vec<RecvChunk<'_, A::State, A::Output>> = nodes
+            .chunks(CHUNK)
+            .zip(carve(&mut cells, &starts))
+            .zip(carve(&mut outputs, &starts))
+            .map(|((nodes, cells), outputs)| RecvChunk { nodes, cells, outputs, decided: 0 })
+            .collect();
+        exec.update_nodes(&mut work, |_, chunk| {
+            let base = chunk.nodes[0] as usize;
+            let mut inbox = Vec::with_capacity(net.max_degree());
+            for &v in chunk.nodes {
+                let vi = v as usize;
+                let first = plane.first[vi] as usize;
+                inbox.clear();
+                for (port, &s) in plane.mate[first..][..plane.degree(vi)].iter().enumerate() {
+                    let slot = &slots[s as usize];
+                    if slot.stamp == round {
+                        let msg = slot.msg.as_ref().expect("stamped slot holds a message");
+                        inbox.push((port, msg.clone()));
+                    }
+                }
+                let c = ctx(vi);
+                let (state, rng) = &mut chunk.cells[vi - base];
+                alg.receive(state, &c, &inbox, rng);
+                let out = &mut chunk.outputs[vi - base];
+                if out.is_none() {
+                    *out = alg.output(state, &c);
+                    chunk.decided += usize::from(out.is_some());
+                }
+            }
+        });
+        undecided -= work.iter().map(|c| c.decided).sum::<usize>();
+
+        rounds = round;
+        completed = undecided == 0;
+        if !completed && nodes.is_empty() {
+            // Quiescent but undecided: no node will ever run again, so the
+            // dense oracle would spin unchanged until the cap.
+            rounds = max_rounds;
         }
     }
 
-    /// Gathers this round's live slots into the flat per-node inboxes, in
-    /// port order, for **every** node (the dense engines): one pass over
-    /// the CSR port tables, `O(n + m)`.
-    fn compact_all(&mut self, g: &lcl_graph::Graph) {
+    let undecided = (0..n).filter(|&i| outputs[i].is_none()).map(|i| (i, ids[i])).collect();
+    RoundOutcome { outputs, trace: RoundTrace { rounds, completed }, undecided }
+}
+
+/// The per-run routing tables, in node-major CSR order: slot `first[v] + p`
+/// is port `p` of node `v`.
+struct PortPlane {
+    /// Per node, plus one: the first slot of the node.
+    first: Vec<u32>,
+    /// Per slot, as a receiving port: the slot whose message arrives there.
+    mate: Vec<u32>,
+    /// Per slot, as a sending port: the node its message arrives at.
+    peer: Vec<u32>,
+}
+
+impl PortPlane {
+    fn new(g: &Graph) -> PortPlane {
+        let mut first = Vec::with_capacity(g.node_count() + 1);
+        first.push(0u32);
         for v in g.nodes() {
-            let start = self.inbox.len();
-            for (p, &h) in g.ports(v).iter().enumerate() {
-                let slot = h.index();
-                if self.stamps[slot] == self.round {
-                    let msg = self.slots[slot].take().expect("stamped slot holds a message");
-                    self.inbox.push((p, msg));
-                }
-            }
-            self.inbox_ranges[v.index()] = (start, self.inbox.len());
-            self.recv_stamps[v.index()] = self.round;
+            first.push(first[v.index()] + g.degree(v) as u32);
         }
+        let slots = first[g.node_count()] as usize;
+        let mut mate = Vec::with_capacity(slots);
+        let mut peer = Vec::with_capacity(slots);
+        for v in g.nodes() {
+            for &h in g.ports(v) {
+                let w = g.half_edge_peer(h);
+                // A message sent on `h` arrives at the peer's port for the
+                // opposite half-edge; for a self-loop, at the other port.
+                mate.push(first[w.index()] + g.peer_port(h) as u32);
+                peer.push(w.0);
+            }
+        }
+        PortPlane { first, mate, peer }
     }
 
-    /// The inbox of `v` for the compacted round: `(receiving port,
-    /// message)` pairs sorted by port. Empty for nodes that received
-    /// nothing.
-    fn inbox(&self, v: NodeId) -> &[(usize, M)] {
-        if self.recv_stamps[v.index()] != self.round {
-            return &[];
+    fn degree(&self, v: usize) -> usize {
+        (self.first[v + 1] - self.first[v]) as usize
+    }
+}
+
+/// One outbox slot: the message sent on it, live iff `stamp` is the
+/// current round (stamps start at 0, rounds at 1).
+struct Slot<M> {
+    stamp: u32,
+    msg: Option<M>,
+}
+
+/// A send-phase work item: frontier nodes and the outbox slots they own,
+/// from the first node's first slot on.
+struct SendChunk<'a, M> {
+    nodes: &'a [u32],
+    slots: &'a mut [Slot<M>],
+    /// The chunk's first breach of the [`RoundAlgorithm::send`] contract;
+    /// the chunk stops there.
+    violation: Option<String>,
+}
+
+/// A receive-phase work item: frontier nodes and the cells and outputs
+/// they own, from the first node on.
+struct RecvChunk<'a, S, O> {
+    nodes: &'a [u32],
+    cells: &'a mut [(S, ChaCha8Rng)],
+    outputs: &'a mut [Option<O>],
+    /// Nodes that decided in this pass.
+    decided: usize,
+}
+
+/// Splits `items` at the ascending offsets `starts`: piece `k` runs from
+/// `starts[k]` to the next start (the last one to the end). Items before
+/// `starts[0]` belong to no piece.
+fn carve<'a, T>(mut items: &'a mut [T], starts: &[usize]) -> Vec<&'a mut [T]> {
+    let mut pieces = Vec::with_capacity(starts.len());
+    for &s in starts.iter().rev() {
+        let (head, tail) = std::mem::take(&mut items).split_at_mut(s);
+        pieces.push(tail);
+        items = head;
+    }
+    pieces.reverse();
+    pieces
+}
+
+/// Adds node `v` to the next frontier. Relaxed suffices: the bitmap is
+/// read only after the phase, behind the executor's join.
+fn mark(marks: &[AtomicU64], v: u32) {
+    let (word, bit) = (&marks[v as usize / 64], 1u64 << (v % 64));
+    if word.load(Ordering::Relaxed) & bit == 0 {
+        word.fetch_or(bit, Ordering::Relaxed);
+    }
+}
+
+/// Replaces `nodes` with the marked nodes, in index order, and clears the
+/// bitmap.
+fn drain_marks(marks: &mut [AtomicU64], nodes: &mut Vec<u32>) {
+    nodes.clear();
+    for (w, word) in marks.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word.get_mut());
+        while bits != 0 {
+            nodes.push(w as u32 * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
         }
-        let (start, end) = self.inbox_ranges[v.index()];
-        &self.inbox[start..end]
     }
 }
 
@@ -903,6 +702,38 @@ mod tests {
         assert_eq!(vals[2], vec![2, 4]);
     }
 
+    /// Sends its own port number on every port and records the first
+    /// inbox as `(receiving port, sending port)` pairs.
+    struct PortNumbers;
+
+    impl RoundAlgorithm for PortNumbers {
+        type State = Option<Vec<(usize, usize)>>;
+        type Msg = usize;
+        type Output = Vec<(usize, usize)>;
+
+        fn init(&self, _ctx: &NodeCtx, _rng: &mut ChaCha8Rng) -> Self::State {
+            None
+        }
+
+        fn send(&self, _state: &Self::State, ctx: &NodeCtx) -> Vec<(usize, usize)> {
+            (0..ctx.degree).map(|p| (p, p)).collect()
+        }
+
+        fn receive(
+            &self,
+            state: &mut Self::State,
+            _ctx: &NodeCtx,
+            inbox: &[(usize, usize)],
+            _rng: &mut ChaCha8Rng,
+        ) {
+            state.get_or_insert_with(|| inbox.to_vec());
+        }
+
+        fn output(&self, state: &Self::State, _ctx: &NodeCtx) -> Option<Vec<(usize, usize)>> {
+            state.clone()
+        }
+    }
+
     #[test]
     fn self_loop_messages_cross_the_loop() {
         let mut g = lcl_graph::Graph::new();
@@ -912,6 +743,17 @@ mod tests {
         let out = run_rounds(&net, &PortEcho, 0, 10);
         // The node hears itself on both ports of the loop.
         assert_eq!(out.into_outputs()[0], vec![1, 1]);
+
+        // Port-exact: what leaves on one port of the loop arrives on the
+        // other. Node 0 has the loop on ports 0 and 1 and node 1 on port 2.
+        let mut g = lcl_graph::Graph::new();
+        let (a, b) = (g.add_node(), g.add_node());
+        g.add_edge(a, a);
+        g.add_edge(a, b);
+        let net = Network::new(g, IdAssignment::Sequential);
+        let out = run_rounds(&net, &PortNumbers, 0, 10).into_outputs();
+        assert_eq!(out[0], vec![(0, 1), (1, 0), (2, 0)]);
+        assert_eq!(out[1], vec![(0, 2)]);
     }
 
     #[test]

@@ -49,10 +49,7 @@ where
     }
     let out = exec.map_nodes(comps.count(), |c| {
         let ids = comps.members(c).iter().map(|&v| net.id_of(v)).collect();
-        let part = Network::with_ids(comps.extract(g, c), ids)
-            .with_known_n(net.known_n())
-            .with_announced_max_degree(net.max_degree());
-        f(&part)
+        f(&Network::part_of(net, comps.extract(g, c), ids))
     });
     Some((comps, out))
 }
@@ -116,7 +113,9 @@ mod tests {
     fn run_parts<A>(net: &Network, alg: &A, seed: u64, cap: u32) -> Option<RoundOutcome<A::Output>>
     where
         A: RoundAlgorithm + Sync,
-        A::Output: Clone + Send,
+        A::State: Send + Sync,
+        A::Msg: Send + Sync,
+        A::Output: Send,
     {
         let (comps, parts) = map_components(net, &Sequential, |p| run_rounds(p, alg, seed, cap))?;
         let mut outputs = vec![None; net.len()];
