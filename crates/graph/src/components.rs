@@ -177,17 +177,7 @@ impl Components {
                 next_port[v] += 1;
             }
         }
-        let peer_node = (0..2 * edges.len()).map(|h| edges[h / 2][1 - h % 2]).collect();
-        let peer_port = (0..2 * edges.len()).map(|h| half_port[h ^ 1]).collect();
-        Graph::from_packed_tables(
-            slab,
-            port_offsets,
-            degrees,
-            edges,
-            half_port,
-            peer_node,
-            peer_port,
-        )
+        Graph::from_packed_tables(slab, port_offsets, degrees, edges, half_port)
     }
 }
 

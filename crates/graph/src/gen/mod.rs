@@ -475,9 +475,10 @@ pub fn random_lift(base: &Graph, k: usize, seed: u64) -> Graph {
 }
 
 /// Streaming [`pods`]: emits the same instance, edge for edge in the same
-/// order, into any [`GraphSink`] — the huge-scale entry point that never
-/// materializes the graph (pair it with `SnapshotWriter` or
-/// `ShardedSnapshotWriter`).
+/// order, into any [`crate::GraphSink`] — the huge-scale entry point that
+/// never materializes the graph (pair it with
+/// [`crate::ShardedSnapshotWriter`]; with one shard it publishes the
+/// monolithic `.lclg` image).
 ///
 /// # Errors
 ///

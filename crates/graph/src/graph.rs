@@ -383,74 +383,69 @@ impl Graph {
         NodeId(offset)
     }
 
-    /// Rebuilds a graph from explicit port tables and endpoints — the
-    /// deserialization path. Validates that the tables describe a
-    /// consistent port numbering (every half-edge present exactly once, at
-    /// an endpoint of its edge), then packs the slab with zero slack.
-    fn from_tables(ports: Vec<Vec<HalfEdge>>, edges: Vec<[NodeId; 2]>) -> Result<Graph, DeError> {
-        let n = ports.len();
+    /// Rebuilds a graph from a packed port slab — node `v`'s ports are
+    /// `slab[offsets[v]..offsets[v + 1]]` — and the edge endpoints: the
+    /// deserialization and snapshot-load path. Validates that the tables
+    /// describe a consistent port numbering (the offsets split a slab of
+    /// `2m` half-edges, each present exactly once, at an endpoint of its
+    /// edge) and derives the half-edge tables from it.
+    pub(crate) fn from_tables(
+        slab: Vec<HalfEdge>,
+        mut offsets: Vec<u32>,
+        edges: Vec<[NodeId; 2]>,
+    ) -> Result<Graph, DeError> {
+        let n = offsets.len().saturating_sub(1);
         let m = edges.len();
+        if offsets.first() != Some(&0)
+            || offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets[n] as usize != slab.len()
+            || slab.len() != 2 * m
+        {
+            return Err(DeError::new("port offsets do not split a slab of 2m half-edges"));
+        }
         for &[a, b] in &edges {
             if a.index() >= n || b.index() >= n {
                 return Err(DeError::new(format!("edge endpoint out of range: [{a:?}, {b:?}]")));
             }
         }
-        let mut g = Graph::with_capacity(n, m);
-        g.edges = edges;
-        g.half_port = vec![u32::MAX; 2 * m];
-        g.peer_node = vec![NodeId(0); 2 * m];
-        g.peer_port = vec![0; 2 * m];
-        for (vi, table) in ports.iter().enumerate() {
-            let off = u32::try_from(g.port_half_edges.len()).expect("slab exceeds u32");
-            let len =
-                u32::try_from(table.len()).map_err(|_| DeError::new("port table exceeds u32"))?;
-            g.port_offsets.push(off);
-            g.port_caps.push(len);
-            g.degrees.push(len);
-            g.max_deg = g.max_deg.max(len);
-            for (p, &h) in table.iter().enumerate() {
+        // 2m slab entries, each a distinct one of the 2m half-edges: every
+        // half-edge is present.
+        let mut half_port = vec![u32::MAX; 2 * m];
+        for (vi, w) in offsets.windows(2).enumerate() {
+            for (p, &h) in slab[w[0] as usize..w[1] as usize].iter().enumerate() {
                 if h.edge().index() >= m {
                     return Err(DeError::new(format!("half-edge {h:?} references unknown edge")));
                 }
-                if g.edges[h.edge().index()][h.side().index()].index() != vi {
+                if edges[h.edge().index()][h.side().index()].index() != vi {
                     return Err(DeError::new(format!(
                         "half-edge {h:?} listed at node n{vi}, but its edge endpoint disagrees"
                     )));
                 }
-                if g.half_port[h.index()] != u32::MAX {
+                if half_port[h.index()] != u32::MAX {
                     return Err(DeError::new(format!("half-edge {h:?} appears twice")));
                 }
-                g.half_port[h.index()] = p as u32;
-                g.port_half_edges.push(h);
+                half_port[h.index()] = p as u32;
             }
         }
-        if let Some(h) = (0..2 * m).find(|&i| g.half_port[i] == u32::MAX) {
-            return Err(DeError::new(format!("half-edge index {h} missing from every port table")));
-        }
-        for (e, &[a, b]) in g.edges.iter().enumerate() {
-            let ha = 2 * e;
-            let hb = 2 * e + 1;
-            g.peer_node[ha] = b;
-            g.peer_node[hb] = a;
-            g.peer_port[ha] = g.half_port[hb];
-            g.peer_port[hb] = g.half_port[ha];
-        }
-        Ok(g)
+        let degrees = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        offsets.pop();
+        Ok(Graph::from_packed_tables(slab, offsets, degrees, edges, half_port))
     }
 
-    /// Assembles a graph directly from already-validated packed CSR tables
-    /// — the snapshot loader's path (`crate::snapshot`). The slab must be
-    /// fully packed: `port_offsets` are prefix sums of `degrees` and
-    /// segment capacities equal degrees.
+    /// Assembles a graph from packed CSR tables that already describe a
+    /// consistent port numbering — `port_offsets` are prefix sums of
+    /// `degrees` and `half_port` inverts the slab — deriving the peer
+    /// tables. [`Graph::from_tables`] validates before calling it;
+    /// `Components::extract` copies its tables out of a graph.
     pub(crate) fn from_packed_tables(
         port_half_edges: Vec<HalfEdge>,
         port_offsets: Vec<u32>,
         degrees: Vec<u32>,
         edges: Vec<[NodeId; 2]>,
         half_port: Vec<u32>,
-        peer_node: Vec<NodeId>,
-        peer_port: Vec<u32>,
     ) -> Graph {
+        let peer_node = (0..half_port.len()).map(|h| edges[h / 2][1 - h % 2]).collect();
+        let peer_port = (0..half_port.len()).map(|h| half_port[h ^ 1]).collect();
         let max_deg = degrees.iter().max().copied().unwrap_or(0);
         Graph {
             port_half_edges,
@@ -513,7 +508,12 @@ impl Deserialize for Graph {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let ports = Vec::<Vec<HalfEdge>>::from_value(v.field("ports")?)?;
         let edges = Vec::<[NodeId; 2]>::from_value(v.field("edges")?)?;
-        Graph::from_tables(ports, edges)
+        let mut offsets = vec![0u32];
+        for table in &ports {
+            let end = offsets[offsets.len() - 1] as usize + table.len();
+            offsets.push(u32::try_from(end).map_err(|_| DeError::new("port slab exceeds u32"))?);
+        }
+        Graph::from_tables(ports.concat(), offsets, edges)
     }
 }
 

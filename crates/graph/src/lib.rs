@@ -63,6 +63,6 @@ pub use metrics::{diameter, diameter_estimate, girth};
 pub use shard_store::{
     ShardMeta, ShardStoreSummary, ShardedSnapshot, ShardedSnapshotWriter, DEFAULT_MAX_SHARDS,
 };
-pub use sink::{GraphSink, SnapshotWriter, StreamSummary};
+pub use sink::GraphSink;
 pub use snapshot::{snapshot_header, SnapshotHeader};
 pub use traversal::{bfs_distances, bfs_distances_capped, connected_components, Component};

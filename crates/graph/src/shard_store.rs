@@ -6,8 +6,10 @@
 //! (`lcl_local::map_components`), so the store splits the stream of
 //! construction events into per-component frozen images **while
 //! generating** — union-find over the node ids, one global edge spill,
-//! then a routing replay that materializes each shard as a standard
-//! [`SnapshotWriter`]-style image. Readers open the manifest, validate
+//! then a routing replay that materializes each shard through the spill
+//! emitter ([`crate::sink`]). With `max_shards = 1` the store holds one
+//! image byte-identical to [`Graph::freeze`] of the whole graph: this is
+//! the crate's one streaming writer. Readers open the manifest, validate
 //! hashes, and map only the shard they are about to execute.
 //!
 //! # Layout
@@ -20,6 +22,10 @@
 //!                      | k+1 offsets | n global node ids grouped by shard
 //! <dir>/shard-NNNN.lclg  standard frozen snapshots (local node ids)
 //! ```
+//!
+//! Shard images and `members.bin` are hashed containers written and read
+//! by the one codec in `crate::snapshot`; the manifest goes through its
+//! atomic publish.
 //!
 //! Components are numbered by smallest member (the same order
 //! [`crate::Components`] assigns) and map 1:1 onto shards while there are
@@ -34,32 +40,29 @@
 //! keeps store-backed rows byte-identical to unsharded runs.
 //!
 //! The publish is atomic at directory granularity: everything is written
-//! into `<dir>.tmp<pid>` and renamed into place.
+//! into `<dir>.tmp<pid>` and renamed into place. A writer that fails or is
+//! dropped before publishing removes that scratch directory, spills
+//! included.
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use crate::sink::{emit_spill_payload, replay_spill, write_image, GraphSink, SpillFile};
-use crate::snapshot::{snapshot_header, Fnv};
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use crate::sink::{emit_spill_payload, replay_spill, GraphSink, SpillFile};
+use crate::snapshot::{
+    invalid, le_words, publish, snapshot_header, tmp_path, Container, Fnv, LCLG,
+};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MANIFEST: &str = "shards.json";
 const MEMBERS: &str = "members.bin";
-const MEMBERS_MAGIC: &[u8; 4] = b"LCLM";
-const MEMBERS_VERSION: u32 = 1;
-/// magic + version + k + n + hash.
-const MEMBERS_HEADER_LEN: usize = 4 + 4 + 4 + 4 + 8;
+/// The members table; fields `k | n`.
+const LCLM: Container<2> = Container { magic: b"LCLM", what: "members table" };
 const ZERO_HASH: &str = "0000000000000000";
 
 /// Default cap on the number of shard images per store. Components map
 /// 1:1 onto shards up to this count; beyond it they group into
 /// size-balanced unions (still closed systems).
 pub const DEFAULT_MAX_SHARDS: usize = 64;
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// Per-shard entry of the manifest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,7 +105,6 @@ pub struct ShardedSnapshotWriter {
     parent: Vec<u32>,
     m: usize,
     max_shards: usize,
-    finished: bool,
 }
 
 impl ShardedSnapshotWriter {
@@ -115,12 +117,11 @@ impl ShardedSnapshotWriter {
     /// I/O errors creating the scratch directory.
     pub fn create(dir: impl Into<PathBuf>, max_shards: usize) -> io::Result<ShardedSnapshotWriter> {
         let dir = dir.into();
-        let max_shards = max_shards.clamp(1, 9999);
-        let mut tmp_os = dir.as_os_str().to_os_string();
-        tmp_os.push(format!(".tmp{}", std::process::id()));
-        let tmp_dir = PathBuf::from(tmp_os);
+        let tmp_dir = tmp_path(&dir);
         std::fs::create_dir_all(&tmp_dir)?;
-        let spill = SpillFile::create(tmp_dir.join("global.spill"))?;
+        let spill = SpillFile::create(tmp_dir.join("global.spill")).inspect_err(|_| {
+            std::fs::remove_dir_all(&tmp_dir).ok();
+        })?;
         Ok(ShardedSnapshotWriter {
             dir,
             tmp_dir,
@@ -128,8 +129,7 @@ impl ShardedSnapshotWriter {
             degrees: Vec::new(),
             parent: Vec::new(),
             m: 0,
-            max_shards,
-            finished: false,
+            max_shards: max_shards.clamp(1, 9999),
         })
     }
 
@@ -149,9 +149,8 @@ impl ShardedSnapshotWriter {
     /// # Errors
     ///
     /// Any buffered or fresh I/O error; the target directory is left
-    /// untouched on failure.
+    /// untouched and the scratch directory removed on failure.
     pub fn finish(mut self) -> io::Result<ShardStoreSummary> {
-        self.finished = true;
         self.spill.seal()?;
         let n = self.degrees.len();
         let m = self.m;
@@ -208,12 +207,14 @@ impl ShardedSnapshotWriter {
         let mut shards = Vec::with_capacity(k);
         for s in 0..k {
             let file = format!("shard-{s:04}.lclg");
-            let (hash, _) = write_image(
-                &self.tmp_dir.join(&file),
-                &shard_degrees[s],
-                shard_m[s],
-                shard_spills[s].path(),
-            )?;
+            let degrees = &shard_degrees[s];
+            let max_degree = degrees.iter().copied().max().unwrap_or(0);
+            let fields = [shard_n[s], shard_m[s] as u32, max_degree, 0];
+            let hash = LCLG.write(&self.tmp_dir.join(&file), fields, |body| {
+                emit_spill_payload(degrees, shard_m[s], shard_spills[s].path(), &mut |w| {
+                    body.word(w)
+                })
+            })?;
             shards.push(ShardMeta { file, n: shard_n[s] as usize, m: shard_m[s], hash });
         }
         // Monolithic content hash: with one shard the global image *is*
@@ -225,7 +226,6 @@ impl ShardedSnapshotWriter {
             let mut fnv = Fnv::new();
             emit_spill_payload(&self.degrees, m, self.spill.path(), &mut |w| {
                 fnv.write(&w.to_le_bytes());
-                Ok(())
             })?;
             fnv.finish()
         };
@@ -247,7 +247,12 @@ impl ShardedSnapshotWriter {
             let s = shard_of_comp[comp_of[v] as usize] as usize;
             grouped[(starts[s] + local_of[v]) as usize] = v as u32;
         }
-        let members_hash = write_members(&self.tmp_dir.join(MEMBERS), n, &shard_n, &grouped)?;
+        // Body: the k+1 shard offsets, then the grouped global ids.
+        let members_hash =
+            LCLM.write(&self.tmp_dir.join(MEMBERS), [k as u32, n as u32], |body| {
+                starts.iter().chain(&grouped).for_each(|&w| body.word(w));
+                Ok(())
+            })?;
         let max_degree = self.degrees.iter().copied().max().unwrap_or(0) as usize;
         write_manifest(
             &self.tmp_dir.join(MANIFEST),
@@ -258,13 +263,12 @@ impl ShardedSnapshotWriter {
             members_hash,
             &shards,
         )?;
-        if std::fs::rename(&self.tmp_dir, &self.dir).is_err() {
-            // A concurrent writer published first (or the target is in the
-            // way): keep whatever is there, drop our scratch.
-            std::fs::remove_dir_all(&self.tmp_dir).ok();
-            if !self.dir.join(MANIFEST).is_file() {
-                return Err(invalid(format!("cannot publish store at {}", self.dir.display())));
-            }
+        // A concurrent writer may have published first (or the target is
+        // in the way): keep whatever store is there. `Drop` removes our
+        // scratch either way.
+        if std::fs::rename(&self.tmp_dir, &self.dir).is_err() && !self.dir.join(MANIFEST).is_file()
+        {
+            return Err(invalid(format!("cannot publish store at {}", self.dir.display())));
         }
         Ok(ShardStoreSummary { n, m, max_degree, shards: k, graph_hash })
     }
@@ -298,10 +302,10 @@ impl GraphSink for ShardedSnapshotWriter {
 }
 
 impl Drop for ShardedSnapshotWriter {
+    /// Removes the scratch directory, which only exists when the writer
+    /// was abandoned or failed before its publishing rename.
     fn drop(&mut self) {
-        if !self.finished {
-            std::fs::remove_dir_all(&self.tmp_dir).ok();
-        }
+        std::fs::remove_dir_all(&self.tmp_dir).ok();
     }
 }
 
@@ -323,32 +327,6 @@ fn assign_shards(comp_sizes: &[u32], max_shards: usize) -> Vec<u32> {
         load[s] += u64::from(comp_sizes[c]);
     }
     shard_of
-}
-
-fn write_members(path: &Path, n: usize, shard_n: &[u32], grouped: &[u32]) -> io::Result<u64> {
-    // Body first (offsets then grouped global ids), hashed as written.
-    let mut body: Vec<u8> = Vec::with_capacity(4 * (shard_n.len() + 1 + n));
-    let mut off = 0u32;
-    for &c in shard_n {
-        body.extend_from_slice(&off.to_le_bytes());
-        off += c;
-    }
-    body.extend_from_slice(&off.to_le_bytes());
-    for &id in grouped {
-        body.extend_from_slice(&id.to_le_bytes());
-    }
-    let mut fnv = Fnv::new();
-    fnv.write(&body);
-    let hash = fnv.finish();
-    let mut out = BufWriter::new(File::create(path)?);
-    out.write_all(MEMBERS_MAGIC)?;
-    out.write_all(&MEMBERS_VERSION.to_le_bytes())?;
-    out.write_all(&(u32::try_from(shard_n.len()).expect("k fits u32")).to_le_bytes())?;
-    out.write_all(&(u32::try_from(n).expect("n fits u32")).to_le_bytes())?;
-    out.write_all(&hash.to_le_bytes())?;
-    out.write_all(&body)?;
-    out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-    Ok(hash)
 }
 
 /// Canonical manifest serialization. The self hash is FNV-1a over the
@@ -397,21 +375,18 @@ fn write_manifest(
     shards: &[ShardMeta],
 ) -> io::Result<()> {
     let zeroed = manifest_json(n, m, max_degree, graph_hash, members_hash, shards, ZERO_HASH);
-    let mut fnv = Fnv::new();
-    fnv.write(zeroed.as_bytes());
-    let hash = format!("{:016x}", fnv.finish());
+    let hash = format!("{:016x}", Fnv::of(zeroed.as_bytes()));
     let text = manifest_json(n, m, max_degree, graph_hash, members_hash, shards, &hash);
-    let mut file = File::create(path)?;
-    file.write_all(text.as_bytes())?;
-    file.sync_all()
+    publish(path, |file| file.write_all(text.as_bytes()))
 }
 
 /// A validated, lazily-loading view of a published sharded store.
 ///
 /// Opening validates the manifest self hash, the members table (hash plus
 /// exact-partition check), and every shard image's *header* against the
-/// manifest — so missing or swapped shard files are rejected up front —
-/// while shard payloads are only read by [`ShardedSnapshot::load_shard`].
+/// manifest and the members table — so missing, swapped or miscounted
+/// shards are rejected up front — while shard payloads are only read by
+/// [`ShardedSnapshot::load_shard`].
 #[derive(Debug)]
 pub struct ShardedSnapshot {
     dir: PathBuf,
@@ -432,15 +407,15 @@ impl ShardedSnapshot {
     ///
     /// I/O errors reading the files, and `InvalidData` when the manifest
     /// self hash disagrees, a shard image is missing or its header
-    /// disagrees with the manifest, or the members table is corrupt or
-    /// not an exact partition of the global node ids.
+    /// disagrees with the manifest or the members table, the shard headers
+    /// do not add up to the manifest's `m` and maximum degree, or the
+    /// members table is corrupt or not an exact partition of the global
+    /// node ids.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ShardedSnapshot> {
         let dir = dir.into();
         let raw = std::fs::read_to_string(dir.join(MANIFEST))?;
         let (stored_hash, zeroed) = split_manifest_hash(&raw)?;
-        let mut fnv = Fnv::new();
-        fnv.write(zeroed.as_bytes());
-        let computed = format!("{:016x}", fnv.finish());
+        let computed = format!("{:016x}", Fnv::of(zeroed.as_bytes()));
         if computed != stored_hash {
             return Err(invalid(format!(
                 "manifest hash mismatch: stored {stored_hash}, computed {computed}"
@@ -496,16 +471,31 @@ impl ShardedSnapshot {
             let hash = hex(sh, "hash")?;
             shards.push(ShardMeta { file, n: sn, m: sm, hash });
         }
-        // Every shard image must exist and agree with the manifest —
-        // header-only reads, constant time per shard.
-        for sh in &shards {
+        // Every shard image must exist and agree with the manifest and the
+        // members table — header-only reads, constant time per shard — and
+        // the headers must add up to the manifest's `m` and `Δ` (the Δ
+        // every part announces).
+        let (offsets, members) = read_members(&dir.join(MEMBERS), shards.len(), n, members_hash)?;
+        let (mut m_sum, mut max_shard_degree) = (0, 0);
+        for (s, sh) in shards.iter().enumerate() {
             let h = snapshot_header(&dir.join(&sh.file))
                 .map_err(|e| invalid(format!("shard {}: {e}", sh.file)))?;
-            if h.n != sh.n || h.m != sh.m || h.hash != sh.hash {
-                return Err(invalid(format!("shard {} header disagrees with manifest", sh.file)));
+            let listed = (offsets[s + 1] - offsets[s]) as usize;
+            if h.n != sh.n || h.m != sh.m || h.hash != sh.hash || listed != sh.n {
+                return Err(invalid(format!(
+                    "shard {} header disagrees with manifest ({} members listed)",
+                    sh.file, listed
+                )));
             }
+            m_sum += h.m;
+            max_shard_degree = max_shard_degree.max(h.max_degree);
         }
-        let (offsets, members) = read_members(&dir.join(MEMBERS), shards.len(), n, members_hash)?;
+        if m_sum != m || max_shard_degree != max_degree {
+            return Err(invalid(format!(
+                "shard headers sum to m={m_sum} with max degree {max_shard_degree}, \
+                 manifest says m={m} and {max_degree}"
+            )));
+        }
         Ok(ShardedSnapshot {
             dir,
             n,
@@ -608,37 +598,22 @@ fn read_members(
     n: usize,
     expect_hash: u64,
 ) -> io::Result<(Vec<u32>, Vec<u32>)> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < MEMBERS_HEADER_LEN {
-        return Err(invalid("members table too short".to_string()));
-    }
-    if &bytes[0..4] != MEMBERS_MAGIC {
-        return Err(invalid("bad members magic".to_string()));
-    }
-    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    if word(4) != MEMBERS_VERSION {
-        return Err(invalid("unsupported members version".to_string()));
-    }
-    if word(8) as usize != k || word(12) as usize != n {
+    let bytes = std::fs::read(path)?;
+    let ([file_k, file_n], hash, body) = LCLM.read(&bytes)?;
+    if (file_k as usize, file_n as usize) != (k, n) {
         return Err(invalid("members table shape disagrees with manifest".to_string()));
     }
-    let stored_hash = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let body = &bytes[MEMBERS_HEADER_LEN..];
+    if hash != expect_hash {
+        return Err(invalid("members table hash disagrees with manifest".to_string()));
+    }
     if body.len() != 4 * (k + 1 + n) {
         return Err(invalid("members table length disagrees with manifest".to_string()));
     }
-    let mut fnv = Fnv::new();
-    fnv.write(body);
-    if fnv.finish() != stored_hash || stored_hash != expect_hash {
-        return Err(invalid("members table hash mismatch".to_string()));
-    }
-    let mut words = body.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4")));
-    let offsets: Vec<u32> = (0..=k).map(|_| words.next().expect("length checked")).collect();
+    let offsets: Vec<u32> = le_words(body).take(k + 1).collect();
     if offsets[k] as usize != n || offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(invalid("members offsets malformed".to_string()));
     }
-    let members: Vec<u32> = (0..n).map(|_| words.next().expect("length checked")).collect();
+    let members: Vec<u32> = le_words(body).skip(k + 1).collect();
     let mut seen = vec![false; n];
     for &g in &members {
         if g as usize >= n || seen[g as usize] {
@@ -815,6 +790,91 @@ mod tests {
         assert!(err.to_string().contains("members"), "{err}");
         fs::write(&path, &good).unwrap();
         assert!(ShardedSnapshot::open(&dir).is_ok());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn members_and_totals_must_match_the_shard_headers() {
+        let dir = tempdir("miscount");
+        let mut g = gen::cycle(5);
+        g.append(&gen::cycle(7));
+        publish(&g, &dir, DEFAULT_MAX_SHARDS);
+        let snap = ShardedSnapshot::open(&dir).unwrap();
+        // Rewrites the members table and the manifest with every hash
+        // re-sealed, so only the cross-checks stand in the way.
+        let reseal = |offsets: [u32; 3], m: usize, max_degree: usize| {
+            let members_hash = LCLM
+                .write(&dir.join(MEMBERS), [2, 12], |body| {
+                    offsets.iter().chain(&snap.members).for_each(|&w| body.word(w));
+                    Ok(())
+                })
+                .unwrap();
+            let (manifest, hash, shards) = (dir.join(MANIFEST), snap.graph_hash, &snap.shards);
+            write_manifest(&manifest, 12, m, max_degree, hash, members_hash, shards).unwrap();
+            ShardedSnapshot::open(&dir)
+        };
+        // Shard 0 lists six members for its five-node image: a part would
+        // get one id too many.
+        let err = reseal([0, 6, 12], 12, 2).unwrap_err();
+        assert!(err.to_string().contains("shard-0000.lclg header disagrees"), "{err}");
+        // The shard headers must add up to the manifest's m and Δ.
+        let err = reseal([0, 5, 12], 13, 2).unwrap_err();
+        assert!(err.to_string().contains("sum to m=12"), "{err}");
+        let err = reseal([0, 5, 12], 12, 3).unwrap_err();
+        assert!(err.to_string().contains("max degree 2"), "{err}");
+        assert_eq!(reseal([0, 5, 12], 12, 2).unwrap().members(0).len(), 5);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_publishes_leave_no_scratch_and_keep_published_images() {
+        let g = gen::disjoint_cycles(2, 5);
+        let dir = tempdir("fault");
+        let scratch = tmp_path(&dir);
+        // Every file of a directory, or `None` when it does not exist.
+        let contents = |d: &Path| -> Option<Vec<(PathBuf, Vec<u8>)>> {
+            let mut files: Vec<_> = fs::read_dir(d).ok()?.map(|e| e.unwrap().path()).collect();
+            files.sort();
+            Some(files.into_iter().map(|f| (f.clone(), fs::read(f).unwrap())).collect())
+        };
+        // Block each file the store publishes with a directory, with and
+        // without an older store already published at the target.
+        for prior in [None, Some(gen::cycle(4))] {
+            for file in ["shard-0000.lclg", "shard-0001.lclg", MEMBERS, MANIFEST] {
+                fs::remove_dir_all(&dir).ok();
+                if let Some(old) = &prior {
+                    publish(old, &dir, DEFAULT_MAX_SHARDS);
+                }
+                let before = contents(&dir);
+                let mut w = ShardedSnapshotWriter::create(&dir, DEFAULT_MAX_SHARDS).unwrap();
+                g.stream_into(&mut w);
+                fs::create_dir(scratch.join(file)).unwrap();
+                assert!(w.finish().is_err(), "blocked {file}");
+                assert!(!scratch.exists(), "blocked {file}: scratch (and spills) left behind");
+                assert_eq!(contents(&dir), before, "blocked {file}: target changed");
+                fs::remove_dir_all(&dir).ok();
+                publish(&g, &dir, DEFAULT_MAX_SHARDS);
+                check_shards_against(&g, &ShardedSnapshot::open(&dir).unwrap());
+            }
+        }
+        // `freeze`: block its temp file (over an image already published
+        // at the target), then the target itself.
+        let image = dir.with_extension("lclg");
+        for blocked in [tmp_path(&image), image.clone()] {
+            fs::remove_file(&image).ok();
+            if blocked != image {
+                gen::cycle(4).freeze(&image).unwrap();
+            }
+            let before = fs::read(&image).ok();
+            fs::create_dir(&blocked).unwrap();
+            assert!(g.freeze(&image).is_err(), "blocked {}", blocked.display());
+            assert_eq!(fs::read(&image).ok(), before, "blocked {}", blocked.display());
+            fs::remove_dir(&blocked).unwrap();
+            assert!(!tmp_path(&image).exists(), "temp file left behind");
+            g.freeze(&image).unwrap();
+            assert_eq!(Graph::load_frozen(&image).unwrap(), g);
+        }
+        fs::remove_file(&image).ok();
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,5 +1,5 @@
-//! Streaming graph construction: the [`GraphSink`] trait and the
-//! spill-based [`SnapshotWriter`].
+//! Streaming graph construction: the [`GraphSink`] trait and the edge
+//! spill the streaming store writer builds on.
 //!
 //! Generators normally build an in-memory [`Graph`] and callers freeze it
 //! afterwards ([`Graph::freeze`]) — which means the whole CSR lives in RAM
@@ -7,23 +7,29 @@
 //! generator emits `add_nodes` / `add_edge` events in its canonical
 //! insertion order, and the sink decides what to materialize. `Graph`
 //! itself is a sink (the in-memory path is unchanged), and
-//! [`SnapshotWriter`] is the streaming one: it keeps only the degree table
-//! in memory, spills the edge list to a scratch file, and on
-//! [`SnapshotWriter::finish`] replays the spill a few times to write the
-//! exact bytes [`Graph::freeze`] would have produced — same sections, same
-//! order, same FNV-1a content hash — through a temp file + atomic rename.
+//! [`crate::ShardedSnapshotWriter`] is the streaming one: it keeps only
+//! per-node tables in memory, spills the edge list to a scratch file
+//! ([`SpillFile`]), and replays the spill a few times
+//! ([`emit_spill_payload`]) to write each image through the one container
+//! writer (`crate::snapshot`). With one shard its image is exactly the
+//! bytes [`Graph::freeze`] writes — same sections, same order, same
+//! FNV-1a content hash.
 //!
-//! Peak working memory is `O(n + m)` u32 words (degree/cursor tables plus
-//! one 2m-word slab scratch) instead of the full port-table CSR with its
-//! relocation slack, which is what lets a 2²²-node instance freeze inside
-//! a memory budget the in-memory path exceeds (gated by the `ulimit -v`
-//! CI leg).
+//! The two payload emitters stay separate on purpose: `Graph::freeze`
+//! reads a graph's actual port tables, which deserialization accepts in
+//! any consistent numbering, while an edge stream can only express
+//! edge-arrival port order.
+//!
+//! Peak working memory of the spill emitter is `O(n + m)` u32 words
+//! (degree/cursor tables plus one 2m-word slab scratch) instead of the
+//! full port-table CSR with its relocation slack, which is what lets a
+//! 2²²-node instance freeze inside a memory budget the in-memory path
+//! exceeds (gated by the `ulimit -v` CI leg).
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use crate::snapshot::{Fnv, HEADER_LEN, MAGIC, VERSION};
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// A consumer of streamed graph-construction events, in the generator's
@@ -51,109 +57,14 @@ impl GraphSink for Graph {
 impl Graph {
     /// Replays this graph into `sink` as a stream of construction events
     /// (all nodes first, then every edge in insertion order). Feeding the
-    /// replay into a [`SnapshotWriter`] produces bytes identical to
-    /// [`Graph::freeze`]; feeding it into a fresh [`Graph`] produces a
-    /// structurally equal graph.
+    /// replay into a one-shard [`crate::ShardedSnapshotWriter`] publishes
+    /// an image byte-identical to [`Graph::freeze`]; feeding it into a
+    /// fresh [`Graph`] produces a structurally equal graph.
     pub fn stream_into<S: GraphSink>(&self, sink: &mut S) {
         sink.add_nodes(self.node_count());
         for e in self.edges() {
             let [u, v] = self.endpoints(e);
             sink.add_edge(u, v);
-        }
-    }
-}
-
-/// Summary of a finished streaming freeze: the header fields of the
-/// published image.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Node count.
-    pub n: usize,
-    /// Edge count.
-    pub m: usize,
-    /// Maximum degree.
-    pub max_degree: usize,
-    /// FNV-1a content hash of the payload (as stored in the header).
-    pub hash: u64,
-}
-
-/// A [`GraphSink`] that freezes the canonical `.lclg` image incrementally:
-/// bounded working memory while streaming (one `u32` per node plus an
-/// 8-byte-per-edge spill file), byte-identical output to
-/// [`Graph::freeze`], atomic temp-file + rename publish.
-#[derive(Debug)]
-pub struct SnapshotWriter {
-    target: PathBuf,
-    tmp: PathBuf,
-    spill: SpillFile,
-    degrees: Vec<u32>,
-    m: usize,
-    finished: bool,
-}
-
-impl SnapshotWriter {
-    /// Opens a streaming writer that will publish to `path` on
-    /// [`SnapshotWriter::finish`]. Scratch files (`.streamtmp<pid>` /
-    /// `.spill<pid>`) live next to the target so the final rename never
-    /// crosses filesystems.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the scratch files.
-    pub fn create(path: impl Into<PathBuf>) -> io::Result<SnapshotWriter> {
-        let target = path.into();
-        let pid = std::process::id();
-        let tmp = target.with_extension(format!("streamtmp{pid}"));
-        let spill = SpillFile::create(target.with_extension(format!("spill{pid}")))?;
-        Ok(SnapshotWriter { target, tmp, spill, degrees: Vec::new(), m: 0, finished: false })
-    }
-
-    /// Replays the spill and writes the frozen image, publishing it at the
-    /// target path via rename. Consumes the writer.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error buffered while streaming or hit while writing; the
-    /// target is left untouched on failure.
-    pub fn finish(mut self) -> io::Result<StreamSummary> {
-        self.finished = true;
-        self.spill.seal()?;
-        let (hash, max_degree) = write_image(&self.tmp, &self.degrees, self.m, self.spill.path())?;
-        std::fs::rename(&self.tmp, &self.target)?;
-        self.spill.remove();
-        Ok(StreamSummary {
-            n: self.degrees.len(),
-            m: self.m,
-            max_degree: max_degree as usize,
-            hash,
-        })
-    }
-}
-
-impl GraphSink for SnapshotWriter {
-    fn add_nodes(&mut self, count: usize) {
-        let n = self.degrees.len() + count;
-        assert!(u32::try_from(n).is_ok(), "node count exceeds u32");
-        self.degrees.resize(n, 0);
-    }
-
-    fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        assert!(u.index() < self.degrees.len(), "endpoint {u:?} out of range");
-        assert!(v.index() < self.degrees.len(), "endpoint {v:?} out of range");
-        assert!(u32::try_from(2 * (self.m + 1)).is_ok(), "edge count exceeds u32");
-        self.degrees[u.index()] += 1;
-        self.degrees[v.index()] += 1;
-        self.m += 1;
-        self.spill.push(u.0, v.0);
-    }
-}
-
-impl Drop for SnapshotWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            // Abandoned mid-stream: clean the scratch files, best-effort.
-            self.spill.remove();
-            std::fs::remove_file(&self.tmp).ok();
         }
     }
 }
@@ -236,134 +147,68 @@ pub(crate) fn emit_spill_payload(
     degrees: &[u32],
     m: usize,
     spill: &Path,
-    emit: &mut dyn FnMut(u32) -> io::Result<()>,
+    emit: &mut dyn FnMut(u32),
 ) -> io::Result<()> {
     let n = degrees.len();
-    let two_m = u32::try_from(2 * m).expect("edge count exceeds u32");
     // Section 1: n+1 port offsets (prefix sums of degrees).
     let mut starts = Vec::with_capacity(n);
     let mut off = 0u32;
     for &d in degrees {
         starts.push(off);
-        emit(off)?;
+        emit(off);
         off = off.checked_add(d).expect("offset overflow");
     }
-    emit(off)?;
-    assert_eq!(off, two_m, "degree table disagrees with edge count");
+    emit(off);
+    assert_eq!(off as usize, 2 * m, "degree table disagrees with edge count");
     // Section 2: the packed slab — half-edge 2e lands at u's next port,
     // 2e+1 at v's, exactly as `Graph::add_edge` assigns ports.
-    {
-        let mut cursors = starts.clone();
-        let mut slab = vec![0u32; 2 * m];
-        let mut e = 0u32;
-        replay_spill(spill, m, |u, v| {
-            slab[cursors[u as usize] as usize] = 2 * e;
-            cursors[u as usize] += 1;
-            slab[cursors[v as usize] as usize] = 2 * e + 1;
-            cursors[v as usize] += 1;
-            e += 1;
-        })?;
-        for w in slab {
-            emit(w)?;
-        }
-    }
-    // Section 3: endpoint pairs — the spill bytes verbatim.
-    {
-        let mut err = Ok(());
-        replay_spill(spill, m, |u, v| {
-            if err.is_ok() {
-                err = emit(u).and_then(|()| emit(v));
-            }
-        })?;
-        err?;
-    }
-    // Section 4: half_port — the port each half-edge occupies.
-    {
-        let mut next_port = vec![0u32; n];
-        let mut err = Ok(());
-        replay_spill(spill, m, |u, v| {
-            let pa = next_port[u as usize];
-            next_port[u as usize] += 1;
-            let pb = next_port[v as usize];
-            next_port[v as usize] += 1;
-            if err.is_ok() {
-                err = emit(pa).and_then(|()| emit(pb));
-            }
-        })?;
-        err?;
-    }
-    // Section 5: peer_node — the opposite endpoint of each half-edge.
-    {
-        let mut err = Ok(());
-        replay_spill(spill, m, |u, v| {
-            if err.is_ok() {
-                err = emit(v).and_then(|()| emit(u));
-            }
-        })?;
-        err?;
-    }
-    // Section 6: peer_port — the opposite half-edge's port.
-    {
-        let mut next_port = vec![0u32; n];
-        let mut err = Ok(());
-        replay_spill(spill, m, |u, v| {
-            let pa = next_port[u as usize];
-            next_port[u as usize] += 1;
-            let pb = next_port[v as usize];
-            next_port[v as usize] += 1;
-            if err.is_ok() {
-                err = emit(pb).and_then(|()| emit(pa));
-            }
-        })?;
-        err?;
-    }
-    Ok(())
-}
-
-/// Writes a complete frozen image at `path` from `(degrees, spill)`:
-/// zeroed header placeholder, payload streamed through the FNV-1a hash,
-/// header patched in afterwards — the same dance as [`Graph::freeze`],
-/// minus the in-memory graph. Returns `(content hash, max degree)`.
-pub(crate) fn write_image(
-    path: &Path,
-    degrees: &[u32],
-    m: usize,
-    spill: &Path,
-) -> io::Result<(u64, u32)> {
-    let mut file = File::create(path)?;
-    file.write_all(&[0u8; HEADER_LEN])?;
-    let mut out = BufWriter::new(file);
-    let mut fnv = Fnv::new();
-    emit_spill_payload(degrees, m, spill, &mut |w| {
-        let bytes = w.to_le_bytes();
-        fnv.write(&bytes);
-        out.write_all(&bytes)
+    let mut slab = vec![0u32; 2 * m];
+    let mut e = 0u32;
+    replay_spill(spill, m, |u, v| {
+        slab[starts[u as usize] as usize] = 2 * e;
+        starts[u as usize] += 1;
+        slab[starts[v as usize] as usize] = 2 * e + 1;
+        starts[v as usize] += 1;
+        e += 1;
     })?;
-    let hash = fnv.finish();
-    let max_degree = degrees.iter().copied().max().unwrap_or(0);
-    let mut file = out.into_inner().map_err(|e| e.into_error())?;
-    file.seek(SeekFrom::Start(0))?;
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&(u32::try_from(degrees.len()).expect("n fits u32")).to_le_bytes());
-    header.extend_from_slice(&(u32::try_from(m).expect("m fits u32")).to_le_bytes());
-    header.extend_from_slice(&max_degree.to_le_bytes());
-    header.extend_from_slice(&0u32.to_le_bytes());
-    header.extend_from_slice(&hash.to_le_bytes());
-    file.write_all(&header)?;
-    file.sync_all()?;
-    Ok((hash, max_degree))
+    slab.into_iter().for_each(&mut *emit);
+    // Section 3: endpoint pairs — the spill bytes verbatim.
+    replay_spill(spill, m, |u, v| {
+        emit(u);
+        emit(v);
+    })?;
+    // Sections 4 and 6: the port each half-edge occupies, then its peer's.
+    let ports = |peer: bool, emit: &mut dyn FnMut(u32)| {
+        let mut next_port = vec![0u32; n];
+        replay_spill(spill, m, |u, v| {
+            let pa = next_port[u as usize];
+            next_port[u as usize] += 1;
+            let pb = next_port[v as usize];
+            next_port[v as usize] += 1;
+            let (first, second) = if peer { (pb, pa) } else { (pa, pb) };
+            emit(first);
+            emit(second);
+        })
+    };
+    ports(false, &mut *emit)?;
+    // Section 5: peer_node — the opposite endpoint of each half-edge.
+    replay_spill(spill, m, |u, v| {
+        emit(v);
+        emit(u);
+    })?;
+    ports(true, emit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
+    use crate::{gen, ShardStoreSummary, ShardedSnapshotWriter};
     use std::fs;
 
     fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("lclg-sink-{}-{name}.lclg", std::process::id()))
+        let dir = std::env::temp_dir().join(format!("lclg-sink-{}-{name}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        dir
     }
 
     fn zoo() -> Vec<Graph> {
@@ -389,24 +234,35 @@ mod tests {
         ]
     }
 
+    /// Streams `g` into a one-shard store at `dir`: the streaming writer's
+    /// monolithic image.
+    fn stream_one_shard(g: &Graph, dir: &Path) -> ShardStoreSummary {
+        let mut w = ShardedSnapshotWriter::create(dir, 1).unwrap();
+        g.stream_into(&mut w);
+        w.finish().unwrap()
+    }
+
     #[test]
     fn streamed_image_is_byte_identical_to_freeze() {
         for (i, g) in zoo().into_iter().enumerate() {
-            let frozen = tmp(&format!("freeze-{i}"));
-            let streamed = tmp(&format!("stream-{i}"));
+            let dir = tmp(&format!("stream-{i}"));
+            let frozen = dir.with_extension("lclg");
             let hash = g.freeze(&frozen).unwrap();
-            let mut w = SnapshotWriter::create(&streamed).unwrap();
-            g.stream_into(&mut w);
-            let summary = w.finish().unwrap();
-            assert_eq!(summary.hash, hash, "graph {i}");
+            let summary = stream_one_shard(&g, &dir);
+            assert_eq!(summary.graph_hash, hash, "graph {i}");
             assert_eq!(summary.n, g.node_count());
             assert_eq!(summary.m, g.edge_count());
             assert_eq!(summary.max_degree, g.max_degree());
-            assert_eq!(fs::read(&frozen).unwrap(), fs::read(&streamed).unwrap(), "graph {i}");
-            // And the streamed image loads back to the original graph.
-            assert_eq!(Graph::load_frozen(&streamed).unwrap(), g, "graph {i}");
+            // The empty graph has no component, hence no image.
+            assert_eq!(summary.shards, usize::from(g.node_count() > 0), "graph {i}");
+            if summary.shards == 1 {
+                let streamed = dir.join("shard-0000.lclg");
+                assert_eq!(fs::read(&frozen).unwrap(), fs::read(&streamed).unwrap(), "graph {i}");
+                // And the streamed image loads back to the original graph.
+                assert_eq!(Graph::load_frozen(&streamed).unwrap(), g, "graph {i}");
+            }
             fs::remove_file(&frozen).ok();
-            fs::remove_file(&streamed).ok();
+            fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -424,32 +280,33 @@ mod tests {
     fn scratch_files_are_cleaned_up() {
         let target = tmp("cleanup");
         let parent = target.parent().unwrap().to_path_buf();
-        let before: Vec<_> =
-            fs::read_dir(&parent).unwrap().filter_map(|e| e.ok()).map(|e| e.file_name()).collect();
+        let name = target.file_name().unwrap().to_string_lossy().into_owned();
+        // Everything the writer creates is named after its target.
+        let leftovers = || -> Vec<String> {
+            let entries = fs::read_dir(&parent).unwrap().filter_map(|e| e.ok());
+            let names = entries.map(|e| e.file_name().to_string_lossy().into_owned());
+            names.filter(|f| f.starts_with(&name)).collect()
+        };
         {
-            let mut w = SnapshotWriter::create(&target).unwrap();
+            let mut w = ShardedSnapshotWriter::create(&target, 1).unwrap();
             w.add_nodes(3);
             w.add_edge(NodeId(0), NodeId(1));
+            assert_eq!(leftovers().len(), 1, "the scratch directory");
             // Dropped without finish: scratch must vanish.
         }
-        let mut after: Vec<_> =
-            fs::read_dir(&parent).unwrap().filter_map(|e| e.ok()).map(|e| e.file_name()).collect();
-        after.retain(|f| !before.contains(f));
-        assert!(after.is_empty(), "leftover scratch: {after:?}");
-        assert!(!target.exists());
-        // A finished writer leaves exactly the published image.
-        let mut w = SnapshotWriter::create(&target).unwrap();
-        gen::cycle(5).stream_into(&mut w);
-        w.finish().unwrap();
-        assert!(target.is_file());
-        assert_eq!(Graph::load_frozen(&target).unwrap(), gen::cycle(5));
-        fs::remove_file(&target).ok();
+        assert_eq!(leftovers(), Vec::<String>::new());
+        // A finished writer leaves exactly the published store.
+        stream_one_shard(&gen::cycle(5), &target);
+        assert_eq!(leftovers(), vec![name.clone()]);
+        let image = target.join("shard-0000.lclg");
+        assert_eq!(Graph::load_frozen(&image).unwrap(), gen::cycle(5));
+        fs::remove_dir_all(&target).ok();
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn edges_to_unknown_nodes_are_rejected() {
-        let mut w = SnapshotWriter::create(tmp("reject")).unwrap();
+        let mut w = ShardedSnapshotWriter::create(tmp("reject"), 1).unwrap();
         w.add_nodes(2);
         w.add_edge(NodeId(0), NodeId(2));
     }

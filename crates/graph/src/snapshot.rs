@@ -1,17 +1,23 @@
-//! Frozen on-disk CSR snapshots: build a graph once, share it across
-//! runs and processes.
+//! Frozen on-disk CSR snapshots, and the hashed-container codec every
+//! image this crate writes goes through.
 //!
-//! A snapshot is a packed little-endian image of the graph's CSR tables —
-//! exactly the layout a compacted [`Graph`] holds in memory — so loading
-//! is validation plus straight `memcpy`s out of a read-only mapping (the
-//! vendored `memmap2` shim; a buffered byte-slice fallback keeps tests
-//! running where mmap is unavailable, see `LCL_NO_MMAP`). No generator,
-//! no RNG, no port-table reconstruction.
+//! # Containers
 //!
-//! # File layout (all fields little-endian `u32` unless noted)
+//! A container is `magic | version | u32 fields | FNV-1a 64 hash of the
+//! body | body`, all little-endian. [`Container::write`] is the one
+//! writer: it streams the body through the hash into a temp file next to
+//! the target, patches the hash into the header, `fsync`s and renames, so
+//! a reader sees a complete image or none, and a failed write leaves the
+//! target as it was and no temp file behind ([`publish`], which the store
+//! manifest uses too). [`Container::header`] is the one parser: length,
+//! magic and version; [`Container::read`] adds the body hash check. Two
+//! formats use it: `.lclg` graph images (here) and the sharded store's
+//! `members.bin` (`crate::shard_store`).
+//!
+//! # `.lclg` layout (all fields little-endian `u32` unless noted)
 //!
 //! ```text
-//! header   magic "LCLG" | version | n | m | max_degree | reserved
+//! header   magic "LCLG" | version | n | m | max_degree | reserved (0)
 //!          | content hash (u64, FNV-1a over the whole payload)
 //! offsets  n+1 port offsets (prefix sums of degrees; offsets[n] = 2m)
 //! slab     2m packed half-edges, node-major in port order
@@ -19,26 +25,170 @@
 //! peers    half_port, peer_node, peer_port — 2m entries each
 //! ```
 //!
-//! The payload is the graph's *logical* packed form: slack segments the
-//! incremental builder leaves in the slab never reach the file, so
-//! freezing the same structure always produces the same bytes and
-//! [`Graph::content_hash`] is layout-independent. The FNV-1a hash in the
-//! header is the integrity gate: [`Graph::load_frozen`] refuses a payload
-//! whose hash disagrees (a fresh build is always the safe fallback), and
-//! run manifests record the same hash so `results verify` can pin the
-//! exact instance a measurement ran on.
+//! The payload is the graph's *logical* packed form — exactly the layout a
+//! compacted [`Graph`] holds in memory — so loading is validation plus
+//! copies out of a read-only mapping (the vendored `memmap2` shim;
+//! `LCL_NO_MMAP` selects a buffered read). Slack segments the incremental
+//! builder leaves in the slab never reach the file, so freezing the same
+//! structure always produces the same bytes and [`Graph::content_hash`] is
+//! layout-independent.
+//!
+//! [`Graph::load_frozen`] accepts only canonical images. Beyond the hash,
+//! it rebuilds the port numbering through the validation deserialization
+//! runs (`Graph::from_tables`) and requires every stored word — the
+//! half-edge tables the round engine routes messages through included —
+//! to be exactly what that numbering derives. A fresh build is always the
+//! safe fallback, and run manifests record the same hash so
+//! `results verify` can pin the exact instance a measurement ran on.
 
 use crate::graph::Graph;
 use crate::ids::{HalfEdge, NodeId};
 use memmap2::Mmap;
 use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
-pub(crate) const MAGIC: &[u8; 4] = b"LCLG";
-pub(crate) const VERSION: u32 = 1;
-/// magic + version + n + m + max_degree + reserved + hash.
-pub(crate) const HEADER_LEN: usize = 4 + 4 + 4 + 4 + 4 + 4 + 8;
+/// A hashed container format: its magic, and `F` header fields between
+/// the version and the body hash.
+pub(crate) struct Container<const F: usize> {
+    pub(crate) magic: &'static [u8; 4],
+    /// What the format holds, for error messages.
+    pub(crate) what: &'static str,
+}
+
+/// The one container version written and accepted.
+const VERSION: u32 = 1;
+
+/// `.lclg` graph images; fields `n | m | max_degree | reserved`.
+pub(crate) const LCLG: Container<4> = Container { magic: b"LCLG", what: "snapshot" };
+
+impl<const F: usize> Container<F> {
+    /// magic + version + fields + hash.
+    const HEADER_LEN: usize = 4 + 4 + 4 * F + 8;
+
+    /// Publishes a container at `path` atomically ([`publish`]): `body`
+    /// streams its words through the hash into the file, and the header
+    /// with `fields` and the hash is patched in afterwards. Returns the
+    /// body hash.
+    pub(crate) fn write(
+        &self,
+        path: &Path,
+        fields: [u32; F],
+        body: impl FnOnce(&mut Body) -> io::Result<()>,
+    ) -> io::Result<u64> {
+        publish(path, |file| {
+            file.write_all(&vec![0; Self::HEADER_LEN])?;
+            let mut sink = Body { out: BufWriter::new(&mut *file), fnv: Fnv::new(), err: None };
+            body(&mut sink)?;
+            if let Some(e) = sink.err.take() {
+                return Err(e);
+            }
+            sink.out.flush()?;
+            let hash = sink.fnv.finish();
+            drop(sink);
+            let mut header = Vec::with_capacity(Self::HEADER_LEN);
+            header.extend_from_slice(self.magic);
+            for w in [VERSION].iter().chain(&fields) {
+                header.extend_from_slice(&w.to_le_bytes());
+            }
+            header.extend_from_slice(&hash.to_le_bytes());
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(&header)?;
+            Ok(hash)
+        })
+    }
+
+    /// Parses the header at the front of `bytes`, which may hold just the
+    /// header: checks length, magic and version, and returns the fields
+    /// and the stored body hash without reading the body.
+    pub(crate) fn header(&self, bytes: &[u8]) -> io::Result<([u32; F], u64)> {
+        let what = self.what;
+        if bytes.len() < Self::HEADER_LEN {
+            return Err(invalid(format!("{what} too short: {} bytes", bytes.len())));
+        }
+        if &bytes[..4] != self.magic {
+            return Err(invalid(format!("bad {what} magic")));
+        }
+        let mut words = le_words(&bytes[4..Self::HEADER_LEN - 8]);
+        let version = words.next().expect("header length checked");
+        if version != VERSION {
+            return Err(invalid(format!("unsupported {what} version {version}")));
+        }
+        let fields = std::array::from_fn(|_| words.next().expect("header length checked"));
+        let hash = &bytes[Self::HEADER_LEN - 8..Self::HEADER_LEN];
+        Ok((fields, u64::from_le_bytes(hash.try_into().expect("8 bytes"))))
+    }
+
+    /// The full read: parses the header and checks that the body hashes
+    /// to its stored value. Returns the fields, the hash and the body.
+    pub(crate) fn read<'a>(&self, bytes: &'a [u8]) -> io::Result<([u32; F], u64, &'a [u8])> {
+        let (fields, stored) = self.header(bytes)?;
+        let body = &bytes[Self::HEADER_LEN..];
+        let hash = Fnv::of(body);
+        if hash != stored {
+            return Err(invalid(format!(
+                "{} content hash mismatch: header says {stored:#018x}, body hashes to {hash:#018x}",
+                self.what
+            )));
+        }
+        Ok((fields, hash, body))
+    }
+}
+
+/// A container body being written: every word goes through the FNV-1a
+/// hash and into the file. Write errors are kept and surface when the
+/// container is sealed, so payload emitters stay infallible.
+pub(crate) struct Body<'a> {
+    out: BufWriter<&'a mut File>,
+    fnv: Fnv,
+    err: Option<io::Error>,
+}
+
+impl Body<'_> {
+    pub(crate) fn word(&mut self, w: u32) {
+        let bytes = w.to_le_bytes();
+        self.fnv.write(&bytes);
+        if self.err.is_none() {
+            self.err = self.out.write_all(&bytes).err();
+        }
+    }
+}
+
+/// Publishes `path` atomically: `write` fills `<path>.tmp<pid>`
+/// ([`tmp_path`]), which is `fsync`ed and renamed over `path`. On any
+/// error the temp file is removed and `path` is left as it was. The temp
+/// name is per process, so concurrent publishers of one path must be
+/// separate processes.
+pub(crate) fn publish<T>(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<T>,
+) -> io::Result<T> {
+    let tmp = tmp_path(path);
+    let published = File::create(&tmp).and_then(|mut file| {
+        let out = write(&mut file)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(out)
+    });
+    if published.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    published
+}
+
+/// `<path>.tmp<pid>`: the per-process scratch name next to `path`, so the
+/// publishing rename never crosses filesystems.
+pub(crate) fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(format!(".tmp{}", std::process::id()));
+    PathBuf::from(name)
+}
+
+/// The little-endian `u32` words of `bytes` (a trailing partial word is
+/// ignored).
+pub(crate) fn le_words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+}
 
 /// The fixed-size header of a frozen snapshot, read without touching the
 /// payload tables — what `snapshot info` prints for multi-gigabyte images
@@ -59,38 +209,34 @@ pub struct SnapshotHeader {
     pub hash: u64,
 }
 
-/// Reads and validates only the 32-byte header of a frozen snapshot.
+/// Reads and validates only the 32-byte header of a frozen snapshot,
+/// plus the file length it implies (one `stat`, no payload read).
 ///
 /// # Errors
 ///
 /// I/O errors opening the file, and `InvalidData` on a short file, wrong
-/// magic, or unsupported version.
+/// magic, unsupported version, or a file length that disagrees with the
+/// header's `n` and `m`.
 pub fn snapshot_header(path: &Path) -> io::Result<SnapshotHeader> {
-    use std::io::Read;
-    let mut file = File::open(path)?;
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        match file.read(&mut header[filled..])? {
-            0 => return Err(invalid(format!("snapshot too short: {filled} bytes"))),
-            k => filled += k,
-        }
+    const HEADER_LEN: usize = Container::<4>::HEADER_LEN;
+    let file = File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    let mut bytes = Vec::with_capacity(HEADER_LEN);
+    file.take(HEADER_LEN as u64).read_to_end(&mut bytes)?;
+    let ([n, m, max_degree, _], hash) = LCLG.header(&bytes)?;
+    let [n, m, max_degree] = [n, m, max_degree].map(|w| w as usize);
+    check_payload_len(len.saturating_sub(HEADER_LEN), n, m)?;
+    Ok(SnapshotHeader { version: VERSION, n, m, max_degree, hash })
+}
+
+/// An `.lclg` payload holds `n + 1` offsets and `10m` words of slab,
+/// endpoints and half-edge tables.
+fn check_payload_len(len: usize, n: usize, m: usize) -> io::Result<()> {
+    let expect = 4 * (n + 1 + 10 * m);
+    if len != expect {
+        return Err(invalid(format!("payload is {len} bytes, expected {expect} for n={n} m={m}")));
     }
-    if &header[0..4] != MAGIC {
-        return Err(invalid("bad snapshot magic".to_string()));
-    }
-    let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
-    let version = word(4);
-    if version != VERSION {
-        return Err(invalid(format!("unsupported snapshot version {version}")));
-    }
-    Ok(SnapshotHeader {
-        version,
-        n: word(8) as usize,
-        m: word(12) as usize,
-        max_degree: word(16) as usize,
-        hash: u64::from_le_bytes(header[24..32].try_into().expect("8 bytes")),
-    })
+    Ok(())
 }
 
 /// Incremental FNV-1a 64 — the same hash the scenario subsystem uses for
@@ -113,14 +259,22 @@ impl Fnv {
     pub(crate) fn finish(self) -> u64 {
         self.0
     }
+
+    /// The hash of `bytes` in one call.
+    pub(crate) fn of(bytes: &[u8]) -> u64 {
+        let mut fnv = Fnv::new();
+        fnv.write(bytes);
+        fnv.finish()
+    }
 }
 
-fn invalid(msg: String) -> io::Error {
+pub(crate) fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Streams every payload `u32` of `g`'s packed image, in file order, into
-/// `emit`. Shared by the hash (no I/O) and the writer (hash + file) paths.
+/// `emit`: the hash, the writer and the loader's canonical check all read
+/// the image through it.
 fn payload_words(g: &Graph, mut emit: impl FnMut(u32)) {
     let two_m = 2 * g.edge_count() as u32;
     let mut off = 0u32;
@@ -161,48 +315,20 @@ impl Graph {
         fnv.finish()
     }
 
-    /// Writes this graph's frozen snapshot to `path`, returning the
-    /// content hash recorded in the header. The write is not atomic;
-    /// cache layers that share snapshots across processes should write to
-    /// a temporary name and rename (see `lcl_scenario`'s snapshot cache).
+    /// Writes this graph's frozen snapshot to `path` atomically (temp
+    /// file, `fsync`, rename), returning the content hash recorded in the
+    /// header.
     ///
     /// # Errors
     ///
-    /// Any I/O error creating or writing the file.
+    /// Any I/O error writing or publishing the image; `path` is then left
+    /// as it was.
     pub fn freeze(&self, path: &Path) -> io::Result<u64> {
-        let mut file = File::create(path)?;
-        // Header placeholder first; the hash is only known after the
-        // payload has streamed past the FNV, so patch it in afterwards.
-        file.write_all(&[0u8; HEADER_LEN])?;
-        let mut out = BufWriter::new(file);
-        let mut fnv = Fnv::new();
-        let mut io_err = None;
-        payload_words(self, |w| {
-            let bytes = w.to_le_bytes();
-            fnv.write(&bytes);
-            if io_err.is_none() {
-                if let Err(e) = out.write_all(&bytes) {
-                    io_err = Some(e);
-                }
-            }
-        });
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        let hash = fnv.finish();
-        let mut file = out.into_inner().map_err(|e| e.into_error())?;
-        file.seek(SeekFrom::Start(0))?;
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&(self.node_count() as u32).to_le_bytes());
-        header.extend_from_slice(&(self.edge_count() as u32).to_le_bytes());
-        header.extend_from_slice(&(self.max_degree() as u32).to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
-        header.extend_from_slice(&hash.to_le_bytes());
-        file.write_all(&header)?;
-        file.sync_all()?;
-        Ok(hash)
+        let fields = [self.node_count(), self.edge_count(), self.max_degree(), 0];
+        LCLG.write(path, fields.map(|w| w as u32), |body| {
+            payload_words(self, |w| body.word(w));
+            Ok(())
+        })
     }
 
     /// Loads a frozen snapshot written by [`Graph::freeze`]. The loaded
@@ -213,97 +339,33 @@ impl Graph {
     /// # Errors
     ///
     /// I/O errors opening or mapping the file, and `InvalidData` when the
-    /// image is malformed: wrong magic or version, truncated payload,
-    /// content hash mismatch, non-monotone offsets, or out-of-range ids.
+    /// image is malformed: wrong magic or version, nonzero reserved word,
+    /// truncated payload, content hash mismatch, an inconsistent port
+    /// numbering, or stored words (half-edge tables, `max_degree`) that
+    /// disagree with the ones the port numbering derives.
     pub fn load_frozen(path: &Path) -> io::Result<Graph> {
         let map = Mmap::map_path(path)?;
-        let bytes: &[u8] = &map;
-        if bytes.len() < HEADER_LEN {
-            return Err(invalid(format!("snapshot too short: {} bytes", bytes.len())));
+        let ([n, m, max_degree, reserved], _, payload) = LCLG.read(&map)?;
+        let (n, m) = (n as usize, m as usize);
+        if reserved != 0 {
+            return Err(invalid(format!("reserved header word is {reserved}, not 0")));
         }
-        if &bytes[0..4] != MAGIC {
-            return Err(invalid("bad snapshot magic".to_string()));
-        }
-        let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-        let version = word(4);
-        if version != VERSION {
-            return Err(invalid(format!("unsupported snapshot version {version}")));
-        }
-        let n = word(8) as usize;
-        let m = word(12) as usize;
-        let max_deg = word(16) as usize;
-        let stored_hash = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-        let payload = &bytes[HEADER_LEN..];
-        let expect_words = (n + 1) + 10 * m;
-        if payload.len() != 4 * expect_words {
-            return Err(invalid(format!(
-                "payload is {} bytes, expected {} for n={n} m={m}",
-                payload.len(),
-                4 * expect_words
-            )));
-        }
-        let mut fnv = Fnv::new();
-        fnv.write(payload);
-        let hash = fnv.finish();
-        if hash != stored_hash {
-            return Err(invalid(format!(
-                "content hash mismatch: header says {stored_hash:#018x}, payload hashes to {hash:#018x}"
-            )));
-        }
-        let mut words =
-            payload.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
+        check_payload_len(payload.len(), n, m)?;
+        let mut words = le_words(payload);
         let mut next = || words.next().expect("length checked above");
-        let two_m = 2 * m as u32;
-        let offsets: Vec<u32> = (0..=n).map(|_| next()).collect();
-        if offsets[n] != two_m {
-            return Err(invalid(format!("final offset {} != 2m = {two_m}", offsets[n])));
-        }
-        let mut degrees = Vec::with_capacity(n);
-        for i in 0..n {
-            let (a, b) = (offsets[i], offsets[i + 1]);
-            if a > b {
-                return Err(invalid(format!("offsets not monotone at node {i}")));
-            }
-            degrees.push(b - a);
-        }
-        let mut slab = Vec::with_capacity(two_m as usize);
-        for _ in 0..two_m {
-            let raw = next();
-            if raw >= two_m {
-                return Err(invalid(format!("slab half-edge {raw} out of range")));
-            }
-            slab.push(HalfEdge::from_index(raw as usize));
-        }
-        let mut edges = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (a, b) = (next(), next());
-            if a as usize >= n || b as usize >= n {
-                return Err(invalid(format!("edge endpoint [{a}, {b}] out of range")));
-            }
-            edges.push([NodeId(a), NodeId(b)]);
-        }
-        let half_port: Vec<u32> = (0..two_m).map(|_| next()).collect();
-        let peer_node: Vec<u32> = (0..two_m).map(|_| next()).collect();
-        let peer_port: Vec<u32> = (0..two_m).map(|_| next()).collect();
-        if let Some(&p) = peer_node.iter().find(|&&p| p as usize >= n) {
-            return Err(invalid(format!("peer node {p} out of range")));
-        }
-        let mut port_offsets = offsets;
-        port_offsets.pop();
-        let g = Graph::from_packed_tables(
-            slab,
-            port_offsets,
-            degrees,
-            edges,
-            half_port,
-            peer_node.into_iter().map(NodeId).collect(),
-            peer_port,
-        );
-        if g.max_degree() != max_deg {
-            return Err(invalid(format!(
-                "header max_degree {max_deg} disagrees with degree table ({})",
-                g.max_degree()
-            )));
+        let offsets = (0..=n).map(|_| next()).collect();
+        let slab = (0..2 * m).map(|_| HalfEdge::from_index(next() as usize)).collect();
+        let edges = (0..m).map(|_| [NodeId(next()), NodeId(next())]).collect();
+        let g = Graph::from_tables(slab, offsets, edges).map_err(|e| invalid(e.to_string()))?;
+        let mut stored = le_words(payload);
+        let mut canonical = g.max_degree() == max_degree as usize;
+        payload_words(&g, |w| canonical &= stored.next() == Some(w));
+        if !canonical {
+            return Err(invalid(
+                "snapshot is not the canonical image of its port numbering: stored \
+                 half-edge tables or max_degree disagree with the derived ones"
+                    .to_string(),
+            ));
         }
         Ok(g)
     }
@@ -437,7 +499,7 @@ mod tests {
         assert_eq!(h.m, g.edge_count());
         assert_eq!(h.max_degree, g.max_degree());
         assert_eq!(h.hash, hash);
-        // The probe validates magic/version/length but not the payload:
+        // The probe validates magic, version and length but not the payload:
         // a payload flip passes the probe and fails the full loader.
         let mut bytes = fs::read(&p).unwrap();
         let last = bytes.len() - 1;
@@ -445,6 +507,10 @@ mod tests {
         fs::write(&p, &bytes).unwrap();
         assert_eq!(snapshot_header(&p).unwrap(), h);
         assert!(Graph::load_frozen(&p).is_err());
+        // A truncated image fails the probe's length check.
+        fs::write(&p, &bytes[..64]).unwrap();
+        let err = snapshot_header(&p).unwrap_err();
+        assert!(err.to_string().contains("payload is 32 bytes"), "{err}");
         // Corrupt headers are typed errors, not panics.
         fs::write(&p, b"NOPE").unwrap();
         assert!(snapshot_header(&p).is_err());
@@ -457,6 +523,82 @@ mod tests {
         let err = snapshot_header(&p).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
         fs::remove_file(&p).ok();
+    }
+
+    /// Overwrites payload word `i` of a frozen image and re-seals its hash,
+    /// so only the loader's structural checks stand in the way.
+    fn set_word(bytes: &mut [u8], i: usize, w: u32) {
+        const HEADER_LEN: usize = Container::<4>::HEADER_LEN;
+        let at = HEADER_LEN + 4 * i;
+        bytes[at..at + 4].copy_from_slice(&w.to_le_bytes());
+        let hash = Fnv::of(&bytes[HEADER_LEN..]);
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&hash.to_le_bytes());
+    }
+
+    #[test]
+    fn only_canonical_images_load() {
+        let g = gen::cycle(5);
+        let p = tmp("canonical");
+        g.freeze(&p).unwrap();
+        let good = fs::read(&p).unwrap();
+        let rejects = |bytes: &[u8], what: &str| {
+            fs::write(&p, bytes).unwrap();
+            let err = Graph::load_frozen(&p).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(what), "{err}");
+        };
+        // n = m = 5: half_port starts at payload word (n + 1) + 2m + 2m =
+        // 26 and peer_node at 36. Put node 0's port-0 half-edge at port 7
+        // of a degree-2 node, facing n3 instead of n1 — the tables the
+        // round engine routes messages through.
+        let mut bad = good.clone();
+        set_word(&mut bad, 26, 7);
+        set_word(&mut bad, 36, 3);
+        rejects(&bad, "not the canonical image");
+        // A nonzero reserved header word (outside the hashed body).
+        let mut bad = good.clone();
+        bad[20] = 1;
+        rejects(&bad, "reserved");
+        // Offsets that do not start at 0.
+        let mut bad = good.clone();
+        set_word(&mut bad, 0, 1);
+        rejects(&bad, "port offsets");
+        fs::write(&p, &good).unwrap();
+        assert_eq!(Graph::load_frozen(&p).unwrap(), g);
+        fs::remove_file(&p).ok();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// One payload word rewritten and the hash re-sealed: the loader
+        /// either rejects the image or returns a graph whose serde twin
+        /// re-freezes to exactly these bytes.
+        #[test]
+        fn mutated_images_load_only_when_canonical(
+            pick in 0usize..7,
+            at in 0usize..1 << 16,
+            value in 0u32..48,
+        ) {
+            use serde::{Deserialize, Serialize};
+            let g = &zoo()[pick];
+            let p = tmp(&format!("mutant-{pick}-{at}-{value}"));
+            let p2 = tmp(&format!("mutant-{pick}-{at}-{value}-twin"));
+            g.freeze(&p).unwrap();
+            let mut bytes = fs::read(&p).unwrap();
+            let words = (bytes.len() - Container::<4>::HEADER_LEN) / 4;
+            set_word(&mut bytes, at % words, value);
+            fs::write(&p, &bytes).unwrap();
+            let loaded = Graph::load_frozen(&p);
+            fs::remove_file(&p).ok();
+            if let Ok(back) = loaded {
+                let twin = Graph::from_value(&back.to_value()).unwrap();
+                twin.freeze(&p2).unwrap();
+                let refrozen = fs::read(&p2).unwrap();
+                fs::remove_file(&p2).ok();
+                proptest::prop_assert_eq!(refrozen, bytes);
+            }
+        }
     }
 
     #[test]

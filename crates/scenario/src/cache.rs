@@ -5,18 +5,21 @@
 //! instances from scratch — wasted work that dominates setup time for
 //! huge graphs. [`SnapshotCache`] keys the frozen on-disk CSR image
 //! (`Graph::freeze`) by the cell coordinates: a hit maps the file back in
-//! (`Graph::load_frozen`, content-hash validated) instead of re-running
-//! the generator; a miss builds the instance and freezes it for the next
-//! run. Writes go through a temp file + atomic rename, so concurrent
-//! runs sharing a cache directory never observe a half-written snapshot.
+//! (`Graph::load_frozen`, which accepts only the hash-checked canonical
+//! image of a consistent port numbering) instead of re-running the
+//! generator; a miss builds the instance and freezes it for the next run.
+//! `freeze` and the sharded store both publish atomically (temp file or
+//! directory, `fsync`, rename), so concurrent runs sharing a cache
+//! directory never observe a half-written snapshot.
 //!
-//! A corrupt or truncated snapshot fails `load_frozen` validation and is
-//! treated as a miss (rebuilt and replaced) — the cache can only ever
-//! serve a bit-exact image of what was frozen. Staleness (a generator
-//! whose output changed since the freeze) is outside the loader's reach,
-//! but `results verify` regenerates every cell from the spec and compares
-//! both rows and graph content hashes, so a stale cache cannot survive
-//! verification.
+//! A corrupt, truncated or non-canonical snapshot — or a store whose
+//! manifest, members table and shard headers disagree — fails validation
+//! and is treated as a miss (rebuilt and replaced): the cache can only
+//! ever serve a bit-exact image of what was frozen. Staleness (a
+//! generator whose output changed since the freeze) is outside the
+//! loader's reach, but `results verify` regenerates every cell from the
+//! spec and compares both rows and graph content hashes, so a stale cache
+//! cannot survive verification.
 
 use crate::spec::FamilySpec;
 use lcl_graph::{gen::GenError, Graph, ShardedSnapshot, ShardedSnapshotWriter, DEFAULT_MAX_SHARDS};
@@ -73,13 +76,9 @@ impl SnapshotCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let g = family.build(n, seed)?;
-        // Freeze through a temp file + rename: concurrent runs sharing the
-        // directory either see the complete image or none at all. Distinct
-        // cells use distinct keys, so a per-process temp name suffices.
-        let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        if g.freeze(&tmp).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
+        // Distinct cells use distinct keys, so `freeze`'s per-process temp
+        // name suffices; a failed freeze only costs the next run a rebuild.
+        g.freeze(&path).ok();
         Ok(g)
     }
 
@@ -198,7 +197,42 @@ mod tests {
         let rebuilt = cache.load_or_build_sharded(&fam, 16, 3).unwrap();
         assert_eq!(cache.stats(), (1, 2));
         assert_eq!(rebuilt.graph_hash(), built.graph_hash());
+        // So does a members table that gives shard 0 five members for its
+        // four-node image, with every hash re-sealed.
+        miscount_first_shard(&cache.sharded_dir_for(&fam, 16, 3));
+        let rebuilt = cache.load_or_build_sharded(&fam, 16, 3).unwrap();
+        assert_eq!(cache.stats(), (1, 3), "a miscounted store must not count as a hit");
+        assert_eq!(rebuilt.members(0).len(), 4);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xCBF2_9CE4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+    }
+
+    /// Bumps `offsets[1]` of a store's `members.bin` and re-seals its hash,
+    /// the manifest's record of it, and the manifest's own hash.
+    fn miscount_first_shard(store: &Path) {
+        let members = store.join("members.bin");
+        let mut bytes = std::fs::read(&members).unwrap();
+        // Header: magic | version | k | n | body hash (u64, bytes 16..24);
+        // body: k+1 offsets (offsets[1] at bytes 28..32), then the ids.
+        let old_hash = format!("{:016x}", fnv(&bytes[24..]));
+        let offset1 = u32::from_le_bytes(bytes[28..32].try_into().unwrap());
+        bytes[28..32].copy_from_slice(&(offset1 + 1).to_le_bytes());
+        let hash = fnv(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&hash.to_le_bytes());
+        std::fs::write(&members, &bytes).unwrap();
+        let manifest = store.join("shards.json");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let text = text.replace(&old_hash, &format!("{hash:016x}"));
+        let key = "\"manifest_hash\": \"";
+        let at = text.rfind(key).unwrap() + key.len();
+        let zeroed = format!("{}{}{}", &text[..at], "0".repeat(16), &text[at + 16..]);
+        let sealed = format!("{}{:016x}{}", &text[..at], fnv(zeroed.as_bytes()), &text[at + 16..]);
+        std::fs::write(&manifest, sealed).unwrap();
     }
 
     #[test]

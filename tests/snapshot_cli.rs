@@ -68,6 +68,15 @@ fn stream_publishes_a_store_matching_the_monolithic_freeze() {
         text[at..at + 16].to_string()
     };
     assert_eq!(hash_of(&out.stdout), hash_of(&froze.stdout));
+    // With one shard, the store's image is the monolithic freeze, byte for
+    // byte: the CLI's one streaming path.
+    let one = dir.join("one.shards");
+    let one_str = one.display().to_string();
+    let out = snapshot(&["stream", "pods-p4x0", "64", "1", &one_str, "1"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("1 shard(s)"));
+    let shard = std::fs::read(one.join("shard-0000.lclg")).unwrap();
+    assert!(shard == std::fs::read(&image).unwrap(), "one-shard image differs from the freeze");
 
     // max-shards caps the image count; garbage values are usage errors.
     let capped = dir.join("capped.shards");
