@@ -25,7 +25,7 @@ use crate::checks::structure_errors;
 use crate::labels::{Dir, GadgetIn};
 use crate::psi::PsiOutput;
 use lcl_core::Labeling;
-use lcl_graph::{Graph, NodeId};
+use lcl_graph::{EccentricityKernel, Graph, NodeId};
 use lcl_local::LocalityTrace;
 
 /// Result of running algorithm `V`.
@@ -186,6 +186,8 @@ pub fn run_verifier(
     let comps = lcl_graph::connected_components(g);
     let mut output = vec![PsiOutput::Ok; g.node_count()];
     let mut radii = vec![0u32; g.node_count()];
+    let mut kernel = EccentricityKernel::default();
+    let mut stamps = Stamps::new(g.node_count());
 
     for comp in &comps {
         let has_err = comp.nodes.iter().any(|v| err[v.index()]);
@@ -194,12 +196,9 @@ pub fn run_verifier(
         // under-reported) triangle-inequality upper bound on large ones:
         // ecc(v) ≤ d(anchor, v) + ecc(anchor).
         if comp.nodes.len() <= 2048 {
+            kernel.component(g, &comp.nodes, &mut radii);
             for &v in &comp.nodes {
-                let ecc = {
-                    let d = lcl_graph::bfs_distances(g, v);
-                    comp.nodes.iter().filter_map(|w| d[w.index()]).max().unwrap_or(0)
-                };
-                radii[v.index()] = r_bound.min(ecc);
+                radii[v.index()] = r_bound.min(radii[v.index()]);
             }
         } else {
             let anchor = comp.nodes[0];
@@ -213,7 +212,6 @@ pub fn run_verifier(
         if !has_err {
             continue; // all Ok
         }
-        let mut stamps = Stamps::new(g.node_count());
         for &v in &comp.nodes {
             output[v.index()] = decide(g, input, &err, v, &mut stamps);
         }
@@ -302,6 +300,29 @@ mod tests {
             assert!(r <= 2 * (h + 1), "radius {r} too big at height {h}");
             assert!(r >= h / 2);
         }
+    }
+
+    #[test]
+    fn large_components_get_the_anchor_bound() {
+        // 3,070 nodes, over the 2,048-node cutoff for exact radii: every
+        // radius is min(R, d(anchor, v) + ecc(anchor)), the anchor being
+        // the component's first node, here the center.
+        let b = build_gadget(&GadgetSpec::uniform(3, 10));
+        assert_eq!((b.len(), b.center), (3070, NodeId(0)));
+        let out = run_verifier(&b.graph, &b.input, 3, b.len());
+        assert!(out.all_ok());
+        let d: Vec<u32> = lcl_graph::bfs_distances(&b.graph, b.center)
+            .into_iter()
+            .map(|x| x.expect("connected"))
+            .collect();
+        let ecc_center = *d.iter().max().unwrap();
+        let r = gather_bound(b.len());
+        let want: Vec<u32> = d.iter().map(|&x| r.min(x + ecc_center)).collect();
+        assert_eq!(out.trace.radii(), want.as_slice());
+        assert_eq!((r, ecc_center, out.trace.max_radius()), (28, 10, 20));
+        // In a valid gadget every farthest path runs through the center, so
+        // here the bound is tight: these are the exact eccentricities too.
+        assert_eq!(lcl_graph::eccentricities(&b.graph), want);
     }
 
     #[test]

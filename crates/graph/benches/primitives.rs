@@ -1,6 +1,8 @@
 //! Criterion benchmarks for the graph substrate's hot primitives: ball
-//! extraction (the inner loop of the view engine) and shortest-cycle
-//! search (the inner loop of deterministic sinkless orientation).
+//! extraction (the inner loop of the view engine), shortest-cycle search
+//! (the inner loop of deterministic sinkless orientation), and exact
+//! eccentricities (the bit-parallel kernel behind `diameter` and the gadget
+//! verifier's radii) on an expander and on a cycle, its worst case.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcl_graph::{gen, Ball, CycleSearch, NodeId};
@@ -26,6 +28,13 @@ fn bench_primitives(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("bfs-full", n), &g, |b, g| {
             b.iter(|| lcl_graph::bfs_distances(g, NodeId(0)));
+        });
+        group.bench_with_input(BenchmarkId::new("eccentricities", n), &g, |b, g| {
+            b.iter(|| lcl_graph::eccentricities(g));
+        });
+        let cycle = gen::cycle(n);
+        group.bench_with_input(BenchmarkId::new("eccentricities-cycle", n), &cycle, |b, g| {
+            b.iter(|| lcl_graph::eccentricities(g));
         });
     }
     group.finish();

@@ -59,7 +59,7 @@ pub use components::Components;
 pub use cycles::{shortest_cycle_through_edge, CanonicalCycle, CycleSearch};
 pub use graph::Graph;
 pub use ids::{EdgeId, HalfEdge, NodeId, Side};
-pub use metrics::{diameter, diameter_estimate, girth};
+pub use metrics::{diameter, diameter_estimate, eccentricities, girth, EccentricityKernel};
 pub use shard_store::{
     ShardMeta, ShardStoreSummary, ShardedSnapshot, ShardedSnapshotWriter, DEFAULT_MAX_SHARDS,
 };

@@ -1,6 +1,6 @@
-//! Global graph metrics: girth and diameter.
+//! Global graph metrics: girth, eccentricities and diameter.
 
-use crate::{bfs_distances, Graph};
+use crate::{bfs_distances, Components, Graph, NodeId};
 use std::collections::VecDeque;
 
 /// Length of a shortest cycle, or `None` if the graph is acyclic.
@@ -62,28 +62,168 @@ pub(crate) fn dist_avoiding_edge(
     None
 }
 
+/// Exact eccentricity of every node within its component (0 for an
+/// isolated node), indexed by node.
+///
+/// One [`EccentricityKernel::component`] pass per component, all on the
+/// same scratch: `⌈|C| / 64⌉` bit-parallel BFS passes over each
+/// component `C`.
+#[must_use]
+pub fn eccentricities(g: &Graph) -> Vec<u32> {
+    let mut ecc = vec![0; g.node_count()];
+    let mut kernel = EccentricityKernel::default();
+    for members in Components::new(g).iter() {
+        kernel.component(g, members, &mut ecc);
+    }
+    ecc
+}
+
 /// Maximum over nodes of the eccentricity within their component, i.e. the
 /// largest finite BFS distance in the graph. Returns 0 for graphs with at
 /// most one node per component.
 ///
-/// Runs a BFS from every node: intended for tests and small experiment
-/// inputs, not for the hot path.
+/// The maximum of [`eccentricities`]: exact, at `n / 64` BFS passes
+/// rather than one per node.
 #[must_use]
 pub fn diameter(g: &Graph) -> u32 {
-    let mut best = 0;
-    for v in g.nodes() {
-        for d in bfs_distances(g, v).into_iter().flatten() {
-            best = best.max(d);
+    eccentricities(g).into_iter().max().unwrap_or(0)
+}
+
+/// Exact eccentricities by multi-source bit-parallel BFS (Then et al.,
+/// "The More the Merrier: Efficient Multi-Source Graph Traversal",
+/// VLDB 2014).
+///
+/// A component's members are taken 64 at a time as BFS sources, one bit
+/// of a `u64` each, and the 64 searches advance together level by level:
+/// a node on the frontier forwards the bits of every source that reached
+/// it last level to each neighbor that has not yet seen them. A source's
+/// eccentricity is the last level at which its bit reached a new node.
+/// Each level walks only its frontier list, the nodes some source first
+/// reached on the level before, so a node's edges are scanned once per
+/// distinct distance at which the batch's sources reach it: at most 64
+/// times, and far fewer where the searches overlap.
+///
+/// The scratch (a local CSR copy of the component, the three bit tables
+/// and the two frontier lists) is reused across batches and components:
+/// keep one kernel per thread and feed it every component.
+#[derive(Clone, Debug, Default)]
+pub struct EccentricityKernel {
+    /// Host node → its position in the current member list; only the
+    /// members' entries are meaningful.
+    local: Vec<u32>,
+    /// The members' adjacency in local ids (CSR, self-loops dropped).
+    offsets: Vec<u32>,
+    adj: Vec<u32>,
+    /// Per local node: the batch sources whose search has reached it.
+    seen: Vec<u64>,
+    /// Per local node: the sources that reached it on the current level.
+    visit: Vec<u64>,
+    /// Per local node: the sources that reach it on the next level.
+    next: Vec<u64>,
+    /// Local nodes with a nonzero `visit` / `next` word.
+    frontier: Vec<u32>,
+    next_frontier: Vec<u32>,
+}
+
+impl EccentricityKernel {
+    /// Writes `ecc[v.index()]`, the exact eccentricity of `v` within its
+    /// component, for every `v` in `members`; other entries of `ecc` are
+    /// untouched. Sources are batched in `members` order, so list a
+    /// component in BFS order (as [`Components::members`] does) to keep
+    /// each batch's frontiers overlapping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` is not closed under adjacency in `g` (one
+    /// component, or a union of whole components), lists a node twice, or
+    /// `ecc` is shorter than `g.node_count()`.
+    pub fn component(&mut self, g: &Graph, members: &[NodeId], ecc: &mut [u32]) {
+        let k = members.len();
+        self.load(g, members);
+        let Self { offsets, adj, seen, visit, next, frontier, next_frontier, .. } = self;
+        for (b, batch) in members.chunks(64).enumerate() {
+            let first = b * 64;
+            for bit in 0..batch.len() {
+                seen[first + bit] = 1 << bit;
+                visit[first + bit] = 1 << bit;
+                frontier.push((first + bit) as u32);
+            }
+            let mut last = [0u32; 64];
+            let mut level = 0;
+            while !frontier.is_empty() {
+                level += 1;
+                let mut reached = 0u64;
+                for &v in frontier.iter() {
+                    let v = v as usize;
+                    let bits = std::mem::take(&mut visit[v]);
+                    for &w in &adj[offsets[v] as usize..offsets[v + 1] as usize] {
+                        let w = w as usize;
+                        let fresh = bits & !seen[w];
+                        if fresh != 0 {
+                            if next[w] == 0 {
+                                next_frontier.push(w as u32);
+                            }
+                            next[w] |= fresh;
+                            seen[w] |= fresh;
+                            reached |= fresh;
+                        }
+                    }
+                }
+                while reached != 0 {
+                    last[reached.trailing_zeros() as usize] = level;
+                    reached &= reached - 1;
+                }
+                frontier.clear();
+                std::mem::swap(visit, next);
+                std::mem::swap(frontier, next_frontier);
+            }
+            for (&s, &e) in batch.iter().zip(&last) {
+                ecc[s.index()] = e;
+            }
+            seen[..k].fill(0);
         }
     }
-    best
+
+    /// Copies the members' adjacency into local ids and sizes the bit
+    /// tables (all zero on return).
+    fn load(&mut self, g: &Graph, members: &[NodeId]) {
+        let k = members.len();
+        assert!(u32::try_from(k).is_ok(), "member count exceeds u32");
+        if self.local.len() < g.node_count() {
+            self.local.resize(g.node_count(), 0);
+        }
+        for (i, &v) in members.iter().enumerate() {
+            self.local[v.index()] = i as u32;
+        }
+        self.offsets.clear();
+        self.adj.clear();
+        self.offsets.push(0);
+        for (i, &v) in members.iter().enumerate() {
+            // A repeated member keeps only its last position; a neighbor
+            // outside `members` maps to a stale position.
+            let mut closed = self.local[v.index()] as usize == i;
+            for (w, _) in g.neighbors(v) {
+                let l = self.local[w.index()];
+                closed &= members.get(l as usize) == Some(&w);
+                if w != v {
+                    self.adj.push(l);
+                }
+            }
+            assert!(closed, "members must be whole components, each node once");
+            self.offsets.push(u32::try_from(self.adj.len()).expect("edge count exceeds u32"));
+        }
+        for table in [&mut self.seen, &mut self.visit, &mut self.next] {
+            table.clear();
+            table.resize(k, 0);
+        }
+    }
 }
 
 /// Double-sweep diameter estimate: per component, BFS from the first node,
 /// then BFS from a farthest node found; the largest distance seen is a
 /// lower bound on the true diameter (exact on trees, and within a factor 2
-/// always). Linear time — use for large experiment instances where
-/// [`diameter`]'s all-pairs sweep is too slow.
+/// always). Linear time — use for large experiment instances where even
+/// [`diameter`]'s `n / 64` bit-parallel BFS passes are too slow.
 #[must_use]
 pub fn diameter_estimate(g: &Graph) -> u32 {
     let mut best = 0;
@@ -177,5 +317,40 @@ mod tests {
         let mut g = gen::path(4);
         g.add_node();
         assert_eq!(diameter(&g), 3);
+    }
+
+    #[test]
+    fn eccentricities_of_small_shapes() {
+        assert_eq!(eccentricities(&Graph::new()), Vec::<u32>::new());
+        assert_eq!(diameter(&Graph::new()), 0);
+        assert_eq!(eccentricities(&gen::path(5)), vec![4, 3, 2, 3, 4]);
+        // Loops and parallels change no distance; an isolated node is 0.
+        let mut g = gen::star(3);
+        g.add_edge(NodeId(1), NodeId(1));
+        g.add_edge(NodeId(0), NodeId(2));
+        g.add_node();
+        assert_eq!(eccentricities(&g), vec![1, 2, 2, 2, 0]);
+        // 64 + 64 + 2 sources on one cycle, then a path in the same graph.
+        let mut g = gen::cycle(130);
+        g.append(&gen::path(3));
+        let mut want = vec![65; 130];
+        want.extend([2, 1, 2]);
+        assert_eq!(eccentricities(&g), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "members must be whole components")]
+    fn kernel_rejects_a_partial_component() {
+        let g = gen::path(4);
+        let mut ecc = vec![0; 4];
+        EccentricityKernel::default().component(&g, &[NodeId(0), NodeId(1)], &mut ecc);
+    }
+
+    #[test]
+    #[should_panic(expected = "each node once")]
+    fn kernel_rejects_a_repeated_member() {
+        let g = gen::path(2);
+        let mut ecc = vec![0; 2];
+        EccentricityKernel::default().component(&g, &[NodeId(0), NodeId(1), NodeId(0)], &mut ecc);
     }
 }

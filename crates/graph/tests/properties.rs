@@ -1,8 +1,9 @@
 //! Property-based tests for the graph substrate's core invariants.
 
 use lcl_graph::{
-    bfs_distances, connected_components, distance_k_coloring, gen, girth, is_distance_k_coloring,
-    Ball, CanonicalCycle, CycleSearch, EdgeId, Graph, NodeId,
+    bfs_distances, connected_components, diameter, distance_k_coloring, eccentricities, gen, girth,
+    is_distance_k_coloring, Ball, CanonicalCycle, CycleSearch, EccentricityKernel, EdgeId, Graph,
+    NodeId,
 };
 use proptest::prelude::*;
 
@@ -19,6 +20,63 @@ fn arb_multigraph() -> impl Strategy<Value = Graph> {
             g
         })
     })
+}
+
+/// One generator shape of up to ~150 nodes, picked by `kind`.
+fn zoo_shape(kind: u8, a: usize, b: usize, seed: u64) -> Graph {
+    match kind {
+        0 => gen::path(a + 1),
+        1 => gen::cycle(a + 3),
+        2 => gen::grid(a % 12 + 1, b % 12 + 1),
+        3 => gen::torus(a % 10 + 3, b % 10 + 3),
+        4 => gen::hypercube((a % 7) as u32 + 1),
+        5 => gen::complete_binary_tree((a % 7) as u32 + 1),
+        6 => gen::random_tree(a + 1, seed),
+        7 => gen::random_regular(2 * (a / 2 + 2), 3, seed).expect("generable"),
+        _ => {
+            let n = a + 1;
+            gen::gnm(n, b.min(n * (n - 1) / 2), seed).expect("m is feasible")
+        }
+    }
+}
+
+/// Strategy: a disjoint union of zero to three zoo shapes (up to ~450
+/// nodes, so several 64-source batches, and batches in node order that
+/// straddle components), plus extras — isolated nodes, self-loops and
+/// parallel copies of existing edges. Zero shapes and zero extras is the
+/// empty graph.
+fn arb_zoo_union() -> impl Strategy<Value = Graph> {
+    let shapes = proptest::collection::vec((0u8..9, 0usize..150, 0usize..300, 0u64..1000), 0..4);
+    let extras = proptest::collection::vec((0u8..3, 0usize..1 << 16), 0..8);
+    (shapes, extras).prop_map(|(shapes, extras)| {
+        let mut g = Graph::new();
+        for (kind, a, b, seed) in shapes {
+            g.append(&zoo_shape(kind, a, b, seed));
+        }
+        for (what, draw) in extras {
+            match what {
+                0 => {
+                    g.add_node();
+                }
+                1 if g.node_count() > 0 => {
+                    let v = NodeId((draw % g.node_count()) as u32);
+                    g.add_edge(v, v);
+                }
+                2 if g.edge_count() > 0 => {
+                    let [a, b] = g.endpoints(EdgeId((draw % g.edge_count()) as u32));
+                    g.add_edge(a, b);
+                }
+                _ => {}
+            }
+        }
+        g
+    })
+}
+
+/// Eccentricity within the component by one BFS per node: the reference
+/// the bit-parallel kernel must match.
+fn per_node_eccentricities(g: &Graph) -> Vec<u32> {
+    g.nodes().map(|v| bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0)).collect()
 }
 
 proptest! {
@@ -138,6 +196,29 @@ proptest! {
             let twice = s.min_cycle_through_edge(&g, e, &nk, &ek);
             prop_assert_eq!(once, twice);
         }
+    }
+
+    #[test]
+    fn eccentricities_equal_per_node_bfs(g in arb_zoo_union()) {
+        let reference = per_node_eccentricities(&g);
+        prop_assert_eq!(&eccentricities(&g), &reference);
+        prop_assert_eq!(diameter(&g), reference.iter().copied().max().unwrap_or(0));
+    }
+
+    #[test]
+    fn kernel_batches_may_straddle_components(g in arb_zoo_union(), warm in 3usize..200) {
+        // One kernel, first dirtied on an unrelated graph, then fed every
+        // node in id order: a member list that is a union of components,
+        // so batches of 64 sources cross component boundaries.
+        let mut kernel = EccentricityKernel::default();
+        let c = gen::cycle(warm);
+        let mut c_ecc = vec![0; c.node_count()];
+        kernel.component(&c, &c.nodes().collect::<Vec<_>>(), &mut c_ecc);
+        prop_assert!(c_ecc.iter().all(|&e| e as usize == warm / 2));
+        let all: Vec<NodeId> = g.nodes().collect();
+        let mut ecc = vec![u32::MAX; g.node_count()];
+        kernel.component(&g, &all, &mut ecc);
+        prop_assert_eq!(ecc, per_node_eccentricities(&g));
     }
 
     #[test]

@@ -303,8 +303,8 @@ where
             .collect();
         let output = Labeling::from_parts(node_out, edge_out, half_out);
 
-        // (7) Cost accounting. The per-gadget diameter BFS is quadratic in
-        // the gadget, so it fans out too.
+        // (7) Cost accounting: every valid gadget's exact diameter, one
+        // bit-parallel eccentricity pass per gadget, fanned out too.
         let gadget_diameter = exec
             .map_nodes(comps.len(), |c| {
                 if vid_of_comp[c].is_some() {

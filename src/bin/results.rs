@@ -24,8 +24,13 @@
 //! comparing the recomputed rows exactly. It does NOT trust the process
 //! that wrote the run. Exit codes: 0 certified, 1 violations found,
 //! 2 cannot verify (missing run, unreadable rows).
+//!
+//! All output goes through one buffered writer whose errors are checked:
+//! a reader that closes the pipe early (`results show <run> | head -1`)
+//! ends the command with exit 0 instead of a panic.
 
 use lcl_report::{diff_rows, trend, Delta, RunStore, StoredRun};
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: results [--out DIR] <command>
@@ -43,10 +48,12 @@ fn main() -> ExitCode {
         Err(msg) => return usage_error(&msg),
     };
     let store = RunStore::new(root);
+    let mut out = BufWriter::new(io::stdout().lock());
+    let out = &mut out;
     let result = match args.first().map(String::as_str) {
-        Some("list") => cmd_list(&store),
+        Some("list") => cmd_list(&store, out),
         Some("show") => match args.get(1) {
-            Some(id) => cmd_show(&store, id),
+            Some(id) => cmd_show(&store, id, out),
             None => return usage_error("show: missing <run-id>"),
         },
         Some("diff") => {
@@ -59,22 +66,24 @@ fn main() -> ExitCode {
                 Err(msg) => return usage_error(&msg),
             };
             match (args.get(1), args.get(2)) {
-                (Some(a), Some(b)) => cmd_diff(&store, a, b, tol),
+                (Some(a), Some(b)) => cmd_diff(&store, a, b, tol, out),
                 _ => return usage_error("diff: missing <run-a> <run-b>"),
             }
         }
         Some("trend") => match (args.get(1), args.get(2)) {
-            (Some(exp), Some(series)) => cmd_trend(&store, exp, series),
+            (Some(exp), Some(series)) => cmd_trend(&store, exp, series, out),
             _ => return usage_error("trend: missing <experiment> <series>"),
         },
         Some("verify") => match args.get(1) {
-            Some(id) => cmd_verify(&store, id),
+            Some(id) => cmd_verify(&store, id, out),
             None => return usage_error("verify: missing <run-id>"),
         },
         _ => return usage_error("missing command"),
     };
-    match result {
+    match result.and_then(|code| out.flush().map(|()| code)) {
         Ok(code) => code,
+        // The reader went away (`| head`): nothing left to say, not a failure.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("results: {e}");
             ExitCode::from(2)
@@ -100,16 +109,17 @@ fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>,
     Ok(Some(value))
 }
 
-fn cmd_list(store: &RunStore) -> std::io::Result<ExitCode> {
+fn cmd_list(store: &RunStore, out: &mut impl Write) -> io::Result<ExitCode> {
     let runs = store.list()?;
     if runs.is_empty() {
-        println!("no runs under {}", store.root().display());
+        writeln!(out, "no runs under {}", store.root().display())?;
         return Ok(ExitCode::SUCCESS);
     }
-    println!(
+    writeln!(
+        out,
         "{:<16} {:<28} {:<20} {:>6}  {:<10} flags",
         "experiment", "run-id", "timestamp", "rows", "git"
-    );
+    )?;
     for run in runs {
         let m = &run.manifest;
         let mut flags = Vec::new();
@@ -119,7 +129,8 @@ fn cmd_list(store: &RunStore) -> std::io::Result<ExitCode> {
         if m.sequential {
             flags.push("seq");
         }
-        println!(
+        writeln!(
+            out,
             "{:<16} {:<28} {:<20} {:>6}  {:<10} {}",
             m.experiment,
             m.run_id,
@@ -127,49 +138,55 @@ fn cmd_list(store: &RunStore) -> std::io::Result<ExitCode> {
             m.row_count,
             &m.git_rev[..m.git_rev.len().min(10)],
             flags.join(",")
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn load(store: &RunStore, run_id: &str) -> std::io::Result<StoredRun> {
+fn load(store: &RunStore, run_id: &str) -> io::Result<StoredRun> {
     store.find(run_id)?.ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::NotFound,
+        io::Error::new(
+            io::ErrorKind::NotFound,
             format!("no run `{run_id}` under {}", store.root().display()),
         )
     })
 }
 
-fn cmd_show(store: &RunStore, run_id: &str) -> std::io::Result<ExitCode> {
+fn cmd_show(store: &RunStore, run_id: &str, out: &mut impl Write) -> io::Result<ExitCode> {
     let run = load(store, run_id)?;
     let m = &run.manifest;
-    println!("experiment   {}", m.experiment);
-    println!("run-id       {}", m.run_id);
-    println!("timestamp    {}", m.timestamp_utc);
-    println!("git-rev      {}", m.git_rev);
-    println!("pool-width   {}", m.pool_width);
-    println!("quick/seq    {}/{}", m.quick, m.sequential);
-    println!("seeds        {:?}", m.seeds);
-    println!("sizes        {:?}", m.sizes);
-    println!("series       {}", m.series.join(", "));
-    println!("rows         {}", m.row_count);
+    writeln!(out, "experiment   {}", m.experiment)?;
+    writeln!(out, "run-id       {}", m.run_id)?;
+    writeln!(out, "timestamp    {}", m.timestamp_utc)?;
+    writeln!(out, "git-rev      {}", m.git_rev)?;
+    writeln!(out, "pool-width   {}", m.pool_width)?;
+    writeln!(out, "quick/seq    {}/{}", m.quick, m.sequential)?;
+    writeln!(out, "seeds        {:?}", m.seeds)?;
+    writeln!(out, "sizes        {:?}", m.sizes)?;
+    writeln!(out, "series       {}", m.series.join(", "))?;
+    writeln!(out, "rows         {}", m.row_count)?;
     for (k, v) in &m.meta {
-        println!("meta         {k} = {v}");
+        writeln!(out, "meta         {k} = {v}")?;
     }
     if let Some(pe) = lcl_report::prediction_error(&m.meta) {
-        println!(
+        writeln!(
+            out,
             "sched-pred   {} cell(s), mean |rel err| {:.1}%, max {:.1}%",
             pe.cells,
             pe.mean_abs_rel * 100.0,
             pe.max_abs_rel * 100.0
-        );
+        )?;
     }
-    println!();
-    println!("{:<4} {:<28} {:>9} {:>6} {:>12}  extra", "exp", "series", "n", "seed", "measured");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "{:<4} {:<28} {:>9} {:>6} {:>12}  extra",
+        "exp", "series", "n", "seed", "measured"
+    )?;
     for r in run.rows()? {
         let extra = r.extra.iter().map(|(k, v)| format!("{k}={v:.2}")).collect::<Vec<_>>();
-        println!(
+        writeln!(
+            out,
             "{:<4} {:<28} {:>9} {:>6} {:>12.2}  {}",
             r.experiment,
             r.series,
@@ -177,59 +194,74 @@ fn cmd_show(store: &RunStore, run_id: &str) -> std::io::Result<ExitCode> {
             r.seed,
             r.measured,
             extra.join(" ")
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(store: &RunStore, a: &str, b: &str, tol: f64) -> std::io::Result<ExitCode> {
+fn cmd_diff(
+    store: &RunStore,
+    a: &str,
+    b: &str,
+    tol: f64,
+    out: &mut impl Write,
+) -> io::Result<ExitCode> {
     let run_a = load(store, a)?;
     let run_b = load(store, b)?;
     let deltas = diff_rows(&run_a.rows()?, &run_b.rows()?, tol);
     if deltas.is_empty() {
-        println!("runs `{a}` and `{b}` are identical (tol {tol})");
+        writeln!(out, "runs `{a}` and `{b}` are identical (tol {tol})")?;
         return Ok(ExitCode::SUCCESS);
     }
     for d in &deltas {
         match d {
-            Delta::OnlyInA(k) => println!("only in {a}: {k}"),
-            Delta::OnlyInB(k) => println!("only in {b}: {k}"),
+            Delta::OnlyInA(k) => writeln!(out, "only in {a}: {k}")?,
+            Delta::OnlyInB(k) => writeln!(out, "only in {b}: {k}")?,
             Delta::Field { key, field, a: va, b: vb } => {
-                println!("{key}: {field} {va} -> {vb} (Δ {})", vb - va);
+                writeln!(out, "{key}: {field} {va} -> {vb} (Δ {})", vb - va)?;
             }
         }
     }
-    println!("{} delta(s)", deltas.len());
+    writeln!(out, "{} delta(s)", deltas.len())?;
     Ok(ExitCode::FAILURE)
 }
 
-fn cmd_verify(store: &RunStore, run_id: &str) -> std::io::Result<ExitCode> {
+fn cmd_verify(store: &RunStore, run_id: &str, out: &mut impl Write) -> io::Result<ExitCode> {
     let run = load(store, run_id)?;
     let v = lcl_scenario::verify_run(&run)?;
-    println!("run          {}/{}", run.manifest.experiment, run.manifest.run_id);
-    println!("rows         {}", v.row_count);
-    println!("replayed     {} (scenario rows re-run with independent certification)", v.replayed);
+    writeln!(out, "run          {}/{}", run.manifest.experiment, run.manifest.run_id)?;
+    writeln!(out, "rows         {}", v.row_count)?;
+    writeln!(
+        out,
+        "replayed     {} (scenario rows re-run with independent certification)",
+        v.replayed
+    )?;
     if v.is_clean() {
-        println!("verdict      certified");
+        writeln!(out, "verdict      certified")?;
         return Ok(ExitCode::SUCCESS);
     }
     for x in &v.violations {
-        println!("violation    {x}");
+        writeln!(out, "violation    {x}")?;
     }
-    println!("verdict      REJECTED ({} violation(s))", v.violations.len());
+    writeln!(out, "verdict      REJECTED ({} violation(s))", v.violations.len())?;
     Ok(ExitCode::FAILURE)
 }
 
-fn cmd_trend(store: &RunStore, experiment: &str, series: &str) -> std::io::Result<ExitCode> {
+fn cmd_trend(
+    store: &RunStore,
+    experiment: &str,
+    series: &str,
+    out: &mut impl Write,
+) -> io::Result<ExitCode> {
     let runs: Vec<StoredRun> =
         store.list()?.into_iter().filter(|r| r.manifest.experiment == experiment).collect();
     if runs.is_empty() {
-        println!("no runs for experiment `{experiment}` under {}", store.root().display());
+        writeln!(out, "no runs for experiment `{experiment}` under {}", store.root().display())?;
         return Ok(ExitCode::SUCCESS);
     }
     let points = trend(&runs, series)?;
     if points.is_empty() {
-        println!("no rows for series `{series}` in {} run(s)", runs.len());
+        writeln!(out, "no rows for series `{series}` in {} run(s)", runs.len())?;
         return Ok(ExitCode::SUCCESS);
     }
     // Scheduler prediction error per run; "-" for runs without the
@@ -242,12 +274,14 @@ fn cmd_trend(store: &RunStore, experiment: &str, series: &str) -> std::io::Resul
             (r.manifest.run_id.as_str(), label)
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{:<28} {:<20} {:>9} {:>12} {:>12} {:>12} {:>8} {:>9}",
         "run-id", "timestamp", "n", "mean", "p50", "p95", "samples", "pred-err"
-    );
+    )?;
     for p in points {
-        println!(
+        writeln!(
+            out,
             "{:<28} {:<20} {:>9} {:>12.3} {:>12.3} {:>12.3} {:>8} {:>9}",
             p.run_id,
             p.timestamp_utc,
@@ -257,7 +291,7 @@ fn cmd_trend(store: &RunStore, experiment: &str, series: &str) -> std::io::Resul
             p.p95_measured,
             p.samples,
             pred_err.get(p.run_id.as_str()).map_or("-", String::as_str)
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }

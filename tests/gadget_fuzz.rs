@@ -1,11 +1,13 @@
 //! Completeness fuzzing for Lemmas 7, 8, and 10: every effective
 //! structural corruption of a valid gadget is (a) detected by some node's
 //! constant-radius check and (b) answered by algorithm `V` with a proof
-//! that passes the `Ψ` checker.
+//! that passes the `Ψ` checker, (c) at the honest radius `min(R, ecc)`.
 
+use lcl_gadget::verifier::gather_bound;
 use lcl_gadget::{
     build_gadget, check_psi, corrupt, structure_errors, GadgetFamily, GadgetSpec, LogGadgetFamily,
 };
+use lcl_graph::bfs_distances;
 use proptest::prelude::*;
 
 proptest! {
@@ -35,6 +37,17 @@ proptest! {
         prop_assert!(!out.all_ok());
         let violations = check_psi(&g, &input, &out.output, delta);
         prop_assert!(violations.is_empty(), "{c:?} → {violations:?}");
+
+        // Every component here is small enough for exact radii: the
+        // gathering bound, trimmed at the node's eccentricity within its
+        // component (one BFS per node as the reference).
+        prop_assert!(g.node_count() <= 2048);
+        let r = gather_bound(g.node_count());
+        for v in g.nodes() {
+            let ecc = bfs_distances(&g, v).into_iter().flatten().max().unwrap_or(0);
+            let (got, want) = (out.trace.radii()[v.index()], r.min(ecc));
+            prop_assert_eq!(got, want, "{c:?}: radius of {v:?} is {got}, want {want}");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! End-to-end smoke tests for `results verify`: the CLI gate must accept
 //! a faithfully persisted scenario run, reject seeded corruptions with a
 //! nonzero exit and the right violation kind, and still verify manifests
-//! written before the `meta` field existed (slug-parsing fallback).
+//! written before the `meta` field existed (slug-parsing fallback). Also:
+//! `results show` into a pipe nobody reads exits cleanly.
 
 use lcl_bench::CliOpts;
 use lcl_report::RunManifest;
 use lcl_scenario::{experiment_name, run_spec, AlgoSpec, FamilySpec, ScenarioSpec};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn smoke_spec() -> ScenarioSpec {
     ScenarioSpec {
@@ -123,5 +124,29 @@ fn verify_of_a_missing_run_cannot_verify() {
     let root = temp_store("missing");
     let out = results(&root, &["verify", "no-such-run"]);
     assert_eq!(out.status.code(), Some(2));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn show_into_a_closed_pipe_exits_cleanly() {
+    // `results show <run> | head -1` once panicked with "failed printing
+    // to stdout: Broken pipe" (exit 101). Here the reader is gone before
+    // the child starts, so every write to its stdout fails.
+    let root = temp_store("epipe");
+    persist_run(&root, "t1");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_results"))
+        .arg("--out")
+        .arg(&root)
+        .args(["show", "t1"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("results bin runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
     let _ = std::fs::remove_dir_all(&root);
 }
