@@ -20,6 +20,7 @@ pub use sched::{build_schedule, predict_costs, CostModel, PowerLaw, Schedule};
 
 use lcl_report::{RunManifest, RunStore};
 use serde::Serialize;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// One measurement row: an experiment id, the instance parameters, and the
@@ -242,9 +243,18 @@ impl Report {
     /// gates compare it directly). A requested persist that fails (taken
     /// `--run-id`, unwritable `--out`, disk full) **terminates the
     /// process with exit code 3** after the report has been printed —
-    /// scripts must never believe an unrecorded run was recorded.
+    /// scripts must never believe an unrecorded run was recorded. A
+    /// reader that closed stdout early (`| head`) is not an error: the run
+    /// is still persisted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if printing fails for any other reason, as `println!` does.
     pub fn finish(&self, experiment: &str, opts: &CliOpts) -> Option<PathBuf> {
-        println!("{}", self.render(opts.json));
+        let mut out = io::stdout();
+        if let Err(e) = writeln!(out, "{}", self.render(opts.json)).and_then(|()| out.flush()) {
+            assert!(e.kind() == io::ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+        }
         if !opts.persist {
             return None;
         }

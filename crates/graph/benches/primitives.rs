@@ -1,8 +1,10 @@
 //! Criterion benchmarks for the graph substrate's hot primitives: ball
 //! extraction (the inner loop of the view engine), shortest-cycle search
-//! (the inner loop of deterministic sinkless orientation), and exact
+//! (the inner loop of deterministic sinkless orientation), exact
 //! eccentricities (the bit-parallel kernel behind `diameter` and the gadget
-//! verifier's radii) on an expander and on a cycle, its worst case.
+//! verifier's radii) on an expander and on a cycle, its worst case, and
+//! random 3-regular generation, rejected pairings included (its id names
+//! the edge count, so time / edges is the local ns per edge).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcl_graph::{gen, Ball, CycleSearch, NodeId};
@@ -35,6 +37,12 @@ fn bench_primitives(c: &mut Criterion) {
         let cycle = gen::cycle(n);
         group.bench_with_input(BenchmarkId::new("eccentricities-cycle", n), &cycle, |b, g| {
             b.iter(|| lcl_graph::eccentricities(g));
+        });
+    }
+    for &n in &[1usize << 16, 1 << 18] {
+        let id = BenchmarkId::new("random-regular-d3", format!("{n} ({} edges)", 3 * n / 2));
+        group.bench_with_input(id, &n, |b, &n| {
+            b.iter(|| gen::random_regular(n, 3, 1).expect("generable"));
         });
     }
     group.finish();

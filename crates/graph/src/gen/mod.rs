@@ -209,9 +209,47 @@ pub fn torus(w: usize, h: usize) -> Graph {
     g
 }
 
+/// The configuration model's one random step: the `n·d` stubs, node `v`'s
+/// `d` in a row, shuffled into `stubs` by the `ChaCha8` stream of `seed`.
+/// Pair `i` is `(stubs[2i], stubs[2i + 1])`.
+fn shuffled_stubs(n: usize, d: usize, seed: u64, stubs: &mut Vec<u32>) {
+    stubs.clear();
+    stubs.extend((0..n as u32).flat_map(|v| std::iter::repeat_n(v, d)));
+    stubs.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+}
+
+/// True if the stub pairing has no self-loop and no pair twice. Node `v`'s
+/// partners so far are `partners[v·d ..][..fill[v]]`; both tables are
+/// scratch, overwritten here.
+fn is_simple_pairing(stubs: &[u32], d: usize, partners: &mut [u32], fill: &mut [u32]) -> bool {
+    fill.fill(0);
+    for pair in stubs.chunks_exact(2) {
+        let (u, v) = (pair[0] as usize, pair[1] as usize);
+        let (fu, fv) = (fill[u] as usize, fill[v] as usize);
+        if u == v || partners[u * d..u * d + fu].contains(&pair[1]) {
+            return false;
+        }
+        partners[u * d + fu] = pair[1];
+        partners[v * d + fv] = pair[0];
+        fill[u] += 1;
+        fill[v] += 1;
+    }
+    true
+}
+
+/// The multigraph of a stub pairing: pair `i` is edge `i`, side A at
+/// `stubs[2i]` — the graph `add_edge` over the pairs builds, emitted
+/// packed. The stubs are freed before the graph's tables are allocated.
+fn pairing_graph(n: usize, stubs: Vec<u32>) -> Graph {
+    let edges = stubs.chunks_exact(2).map(|p| [NodeId(p[0]), NodeId(p[1])]).collect();
+    drop(stubs);
+    Graph::from_edges(n, edges)
+}
+
 /// A uniformly random `d`-regular **multigraph** on `n` nodes via the
-/// configuration (pairing) model: `n·d` stubs are shuffled and paired.
-/// Self-loops and parallel edges may occur.
+/// configuration (pairing) model: `n·d` stubs are shuffled and paired,
+/// pair `i` becoming edge `i`. Self-loops and parallel edges may occur.
+/// The graph comes out with a packed slab.
 ///
 /// # Errors
 ///
@@ -220,19 +258,17 @@ pub fn random_regular_multigraph(n: usize, d: usize, seed: u64) -> Result<Graph,
     if !(n * d).is_multiple_of(2) {
         return Err(GenError::Unrealizable { n, d });
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut stubs: Vec<u32> = (0..n as u32).flat_map(|v| std::iter::repeat_n(v, d)).collect();
-    stubs.shuffle(&mut rng);
-    let mut g = Graph::with_capacity(n, n * d / 2);
-    g.add_nodes(n);
-    for pair in stubs.chunks_exact(2) {
-        g.add_edge(NodeId(pair[0]), NodeId(pair[1]));
-    }
-    Ok(g)
+    let mut stubs = Vec::new();
+    shuffled_stubs(n, d, seed, &mut stubs);
+    Ok(pairing_graph(n, stubs))
 }
 
 /// A random **simple** `d`-regular graph on `n` nodes: the configuration
-/// model with rejection of self-loops and parallel edges.
+/// model with rejection of self-loops and parallel edges. Attempt `i`
+/// draws the pairing [`random_regular_multigraph`] draws at seed
+/// `seed + i·0x9E37_79B9` and checks it on the shuffled stub array; only
+/// the first simple pairing is built, with a packed slab, and is that
+/// multigraph exactly.
 ///
 /// # Errors
 ///
@@ -245,10 +281,14 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Graph, GenError> 
         return Err(GenError::Unrealizable { n, d });
     }
     const ATTEMPTS: usize = 1000;
+    let mut stubs = Vec::with_capacity(n * d);
+    let (mut partners, mut fill) = (vec![0; n * d], vec![0; n]);
     for i in 0..ATTEMPTS {
-        let g = random_regular_multigraph(n, d, seed.wrapping_add(i as u64 * 0x9E37_79B9))?;
-        if !g.has_multi_edges_or_loops() {
-            return Ok(g);
+        shuffled_stubs(n, d, seed.wrapping_add(i as u64 * 0x9E37_79B9), &mut stubs);
+        if is_simple_pairing(&stubs, d, &mut partners, &mut fill) {
+            // Free the scratch before the graph's tables are allocated.
+            drop((partners, fill));
+            return Ok(pairing_graph(n, stubs));
         }
     }
     Err(GenError::RetriesExhausted { what: "simple pairing", attempts: ATTEMPTS })

@@ -432,10 +432,52 @@ impl Graph {
         Ok(Graph::from_packed_tables(slab, offsets, degrees, edges, half_port))
     }
 
+    /// Builds the graph on nodes `0..n` whose edge `i` is `edges[i]`, with
+    /// exactly the port numbering replaying `add_edge` over `edges` in order
+    /// gives — side A before side B, so a self-loop takes two consecutive
+    /// ports — but straight into a packed slab: degrees are counted, the
+    /// offsets prefix-summed, and the ports filled in edge order. No slack,
+    /// no relocation, and [`Graph::compact`] has nothing to do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not below `n`, or the slab exceeds `u32`.
+    pub(crate) fn from_edges(n: usize, edges: Vec<[NodeId; 2]>) -> Graph {
+        let slab_len = u32::try_from(2 * edges.len()).expect("slab exceeds u32");
+        let mut degrees = vec![0u32; n];
+        for &[a, b] in &edges {
+            degrees[a.index()] += 1;
+            degrees[b.index()] += 1;
+        }
+        let mut offset = 0;
+        let port_offsets = degrees
+            .iter()
+            .map(|&d| {
+                offset += d;
+                offset - d
+            })
+            .collect::<Vec<u32>>();
+        // `degrees` doubles as the fill cursor and ends where it started.
+        degrees.fill(0);
+        let mut slab = vec![HalfEdge::new(EdgeId(0), Side::A); slab_len as usize];
+        let mut half_port = vec![0u32; slab_len as usize];
+        for (e, &[a, b]) in edges.iter().enumerate() {
+            for (v, side) in [(a, Side::A), (b, Side::B)] {
+                let h = HalfEdge::new(EdgeId(e as u32), side);
+                let port = degrees[v.index()];
+                degrees[v.index()] = port + 1;
+                slab[(port_offsets[v.index()] + port) as usize] = h;
+                half_port[h.index()] = port;
+            }
+        }
+        Graph::from_packed_tables(slab, port_offsets, degrees, edges, half_port)
+    }
+
     /// Assembles a graph from packed CSR tables that already describe a
     /// consistent port numbering — `port_offsets` are prefix sums of
     /// `degrees` and `half_port` inverts the slab — deriving the peer
     /// tables. [`Graph::from_tables`] validates before calling it;
+    /// [`Graph::from_edges`] builds its tables consistent by construction;
     /// `Components::extract` copies its tables out of a graph.
     pub(crate) fn from_packed_tables(
         port_half_edges: Vec<HalfEdge>,
@@ -768,6 +810,43 @@ mod tests {
         assert_eq!(edges.seq_n(1).unwrap().len(), 1);
         let back = Graph::from_value(&v).unwrap();
         assert_eq!(back, g);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The packed constructor is the `add_edge` replay of its edge
+        /// list, table for table, on multigraphs with self-loops, parallel
+        /// edges and isolated nodes (and the empty graph, `n = 0`).
+        #[test]
+        fn from_edges_is_the_add_edge_replay(
+            n in 0u32..12,
+            raw in proptest::collection::vec((0u32..1024, 0u32..1024), 0..40),
+        ) {
+            let edges: Vec<[NodeId; 2]> = if n == 0 {
+                Vec::new()
+            } else {
+                raw.iter().map(|&(a, b)| [NodeId(a % n), NodeId(b % n)]).collect()
+            };
+            let mut replay = Graph::new();
+            replay.add_nodes(n as usize);
+            for &[a, b] in &edges {
+                replay.add_edge(a, b);
+            }
+            let packed = Graph::from_edges(n as usize, edges);
+            proptest::prop_assert_eq!(&packed, &replay);
+            proptest::prop_assert_eq!(packed.port_slab_len(), 2 * packed.edge_count());
+            proptest::prop_assert_eq!(packed.max_degree(), replay.max_degree());
+            proptest::prop_assert_eq!(packed.content_hash(), replay.content_hash());
+            for v in replay.nodes() {
+                proptest::prop_assert_eq!(packed.ports(v), replay.ports(v));
+            }
+            for h in replay.half_edges() {
+                proptest::prop_assert_eq!(packed.port_of(h), replay.port_of(h));
+                proptest::prop_assert_eq!(packed.peer_port(h), replay.peer_port(h));
+                proptest::prop_assert_eq!(packed.half_edge_peer(h), replay.half_edge_peer(h));
+            }
+        }
     }
 
     #[test]

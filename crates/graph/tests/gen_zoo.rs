@@ -1,11 +1,16 @@
 //! Structural invariants of the expanded generator zoo, pinned by
 //! proptests: handshake lemma, degree bounds, simplicity, connectivity
 //! where promised, and bit-identical output for identical seeds across two
-//! independent constructions.
+//! independent constructions. `random_regular` is also checked against an
+//! independent build-then-check reference loop, and its stream is pinned
+//! by `content_hash`.
 
 use lcl_graph::gen;
 use lcl_graph::{connected_components, girth, Graph, NodeId};
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// The handshake lemma: Σ deg(v) = 2m. Holds for every multigraph, so
 /// every generator must satisfy it unconditionally.
@@ -172,6 +177,86 @@ proptest! {
         prop_assert!(!g.has_multi_edges_or_loops());
         prop_assert_eq!(connected_components(&g).len(), 1);
         assert_handshake(&g);
+    }
+}
+
+/// `random_regular` as a plain rejection loop, written independently of
+/// the generator: attempt `i` shuffles the stubs with the seed
+/// `seed + i·0x9E37_79B9`, builds the pairing through `add_edge`, and
+/// rejects it by `has_multi_edges_or_loops`. Returns the first simple
+/// graph with its 1-based attempt, or `None` after 1000 attempts.
+fn reference_random_regular(n: usize, d: usize, seed: u64) -> Option<(Graph, u64)> {
+    (0..1000u64).find_map(|i| {
+        let mut stubs: Vec<u32> = (0..n as u32).flat_map(|v| std::iter::repeat_n(v, d)).collect();
+        stubs.shuffle(&mut ChaCha8Rng::seed_from_u64(seed.wrapping_add(i * 0x9E37_79B9)));
+        let mut g = Graph::new();
+        g.add_nodes(n);
+        for pair in stubs.chunks_exact(2) {
+            g.add_edge(NodeId(pair[0]), NodeId(pair[1]));
+        }
+        (!g.has_multi_edges_or_loops()).then_some((g, i + 1))
+    })
+}
+
+proptest! {
+    // Default config, so `PROPTEST_CASES` raises the case count (CI runs
+    // this in release with many more cases).
+
+    /// The generator is the reference rejection loop, graph for graph: the
+    /// same accepted attempt, edge order and port numbering.
+    #[test]
+    fn random_regular_matches_the_reference(half_n in 3usize..40, d in 2usize..5, seed in 0u64..u64::MAX) {
+        let n = 2 * half_n;
+        let reference = reference_random_regular(n, d, seed).map(|(g, _)| g);
+        prop_assert_eq!(gen::random_regular(n, d, seed).ok(), reference);
+    }
+}
+
+/// The reference comparison above reaches the rejection path: for every
+/// `d` some seed is first accepted on attempt 3 or later, and the
+/// generator still lands on the reference's graph.
+#[test]
+fn random_regular_matches_the_reference_after_rejections() {
+    for d in 2..=4 {
+        let mut latest = 0;
+        for seed in 0..40 {
+            let (reference, attempt) = reference_random_regular(40, d, seed).expect("generable");
+            assert_eq!(gen::random_regular(40, d, seed).unwrap(), reference, "d={d} seed={seed}");
+            latest = latest.max(attempt);
+        }
+        assert!(latest >= 3, "d={d}: every seed accepted by attempt {latest}");
+    }
+}
+
+/// The generators' streams, pinned by `content_hash`, including `n = 2¹⁶`
+/// and seeds accepted after several rejected attempts. A change to the
+/// seed derivation, the shuffle or the port numbering fails here rather
+/// than silently changing every `RandomRegular` row and pinned benchmark
+/// digest.
+#[test]
+fn random_regular_content_hashes_are_pinned() {
+    // (n, d, seed, hash), each commented with its accepted attempt.
+    let regular = [
+        (60, 3, 2, 0xe2e0_f205_e7f1_aad5),    // attempt 6
+        (40, 4, 1, 0x41e3_54c6_d913_5e95),    // attempt 25
+        (4096, 4, 4, 0x0d40_61d0_91b2_bc8d),  // attempt 6
+        (65536, 3, 7, 0x98ce_ba18_aa2a_88a1), // attempt 1
+        (65536, 3, 6, 0xde7b_70ce_f02f_5e35), // attempt 3
+        (65536, 4, 4, 0x56bd_d122_7526_c0d1), // attempt 9
+    ];
+    for (n, d, seed, hash) in regular {
+        let g = gen::random_regular(n, d, seed).unwrap();
+        assert_eq!(g.content_hash(), hash, "random_regular({n}, {d}, {seed})");
+    }
+    // (n, d, seed, hash); the first two have loops or parallel edges.
+    let multigraph = [
+        (24, 3, 9, 0xe303_edbf_45f5_9635),
+        (1000, 4, 5, 0x0063_2b8e_03dd_5234),
+        (65536, 3, 7, 0x98ce_ba18_aa2a_88a1),
+    ];
+    for (n, d, seed, hash) in multigraph {
+        let g = gen::random_regular_multigraph(n, d, seed).unwrap();
+        assert_eq!(g.content_hash(), hash, "random_regular_multigraph({n}, {d}, {seed})");
     }
 }
 

@@ -42,9 +42,16 @@
 //! Specs resolve from `--spec-dir` (default `scenarios/`) first,
 //! then the built-in presets; a file spec shadows a builtin of the same
 //! name.
+//!
+//! `list` and `describe` write through one buffered writer whose errors
+//! are checked, and `run` prints its rows through `Report::finish`, which
+//! checks them too: a reader that closes the pipe early
+//! (`scenarios list | head -1`) ends the command with exit 0 instead of a
+//! panic, and `run` still persists its run.
 
 use lcl_bench::CliOpts;
 use lcl_scenario::{catalog, expand, experiment_name, run_spec, MeasureOpts, ScenarioSpec};
+use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -65,12 +72,22 @@ fn main() -> ExitCode {
     let opts = CliOpts::parse();
     let dir = PathBuf::from(opts.value_of("--spec-dir").unwrap_or(lcl_scenario::DEFAULT_SPEC_DIR));
     let positional = opts.positional();
-    match positional.as_slice() {
-        ["list"] => cmd_list(&dir),
-        ["describe", name] => cmd_describe(&dir, name, opts.quick),
-        ["run", name] => cmd_run(&dir, name, &opts),
+    let mut out = BufWriter::new(io::stdout());
+    let result = match positional.as_slice() {
+        ["list"] => cmd_list(&dir, &mut out),
+        ["describe", name] => cmd_describe(&dir, name, opts.quick, &mut out),
+        ["run", name] => Ok(cmd_run(&dir, name, &opts)),
         _ => {
             eprintln!("scenarios: missing or unknown command\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match result.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // The reader went away (`| head`): nothing left to say, not a failure.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("scenarios: {e}");
             ExitCode::from(2)
         }
     }
@@ -89,20 +106,22 @@ fn resolve(dir: &std::path::Path, name: &str) -> Result<ScenarioSpec, String> {
     }
 }
 
-fn cmd_list(dir: &std::path::Path) -> ExitCode {
+fn cmd_list(dir: &std::path::Path, out: &mut impl Write) -> io::Result<ExitCode> {
     let specs = match catalog(dir) {
         Ok(specs) => specs,
         Err(e) => {
             eprintln!("scenarios: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
-    println!(
+    writeln!(
+        out,
         "{:<16} {:>8} {:>6} {:>6} {:>6}  description",
         "name", "families", "sizes", "seeds", "algos"
-    );
+    )?;
     for s in specs {
-        println!(
+        writeln!(
+            out,
             "{:<16} {:>8} {:>6} {:>6} {:>6}  {}",
             s.name,
             s.families.len(),
@@ -110,38 +129,45 @@ fn cmd_list(dir: &std::path::Path) -> ExitCode {
             s.seeds.len(),
             s.algos.len(),
             s.description
-        );
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_describe(dir: &std::path::Path, name: &str, quick: bool) -> ExitCode {
+fn cmd_describe(
+    dir: &std::path::Path,
+    name: &str,
+    quick: bool,
+    out: &mut impl Write,
+) -> io::Result<ExitCode> {
     let spec = match resolve(dir, name) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("scenarios: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
-    println!("name         {}", spec.name);
-    println!("description  {}", spec.description);
-    println!("spec-hash    {}", spec.hash());
-    println!("experiment   {}", experiment_name(&spec));
+    writeln!(out, "name         {}", spec.name)?;
+    writeln!(out, "description  {}", spec.description)?;
+    writeln!(out, "spec-hash    {}", spec.hash())?;
+    writeln!(out, "experiment   {}", experiment_name(&spec))?;
     for f in &spec.families {
-        println!("family       {:<18} {}", f.slug(), f.describe());
+        writeln!(out, "family       {:<18} {}", f.slug(), f.describe())?;
     }
-    println!("sizes        {:?}", spec.sizes);
-    println!("seeds        {:?}", spec.seeds);
-    println!("algos        {}", spec.algos.iter().map(|a| a.slug()).collect::<Vec<_>>().join(", "));
+    writeln!(out, "sizes        {:?}", spec.sizes)?;
+    writeln!(out, "seeds        {:?}", spec.seeds)?;
+    let algos = spec.algos.iter().map(|a| a.slug()).collect::<Vec<_>>().join(", ");
+    writeln!(out, "algos        {algos}")?;
     let cells = expand(&spec, quick);
-    println!(
+    writeln!(
+        out,
         "grid         {} cells ({} rows){}",
         cells.len(),
         cells.len() * spec.algos.len(),
         if quick { " [--quick]" } else { "" }
-    );
-    println!("spec-json    {}", spec.to_json());
-    ExitCode::SUCCESS
+    )?;
+    writeln!(out, "spec-json    {}", spec.to_json())?;
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_run(dir: &std::path::Path, name: &str, opts: &CliOpts) -> ExitCode {

@@ -14,7 +14,7 @@
 //!
 //! | [`FamilySpec`] variant | generator |
 //! |---|---|
-//! | `RandomRegular { d }` | `gen::random_regular` (pairing model + rejection) |
+//! | `RandomRegular { d }` | `gen::random_regular` (pairing model; rejection on the stub array, only the accepted pairing built) |
 //! | `Gnm { avg_deg }` | `gen::gnm` (Erdős–Rényi `G(n,m)`) |
 //! | `Torus` | `gen::torus` (2-D wraparound grid) |
 //! | `Hypercube` | `gen::hypercube` |

@@ -42,6 +42,7 @@ use lcl_local::{assigned_ids, map_components, IdAssignment, Network, NodeExecuto
 use lcl_report::{bench_history, cost_history, RunStore};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Experiment id stamped on every scenario row (the run-store directory
 /// carries the scenario name: `scenario-<name>`).
@@ -208,8 +209,9 @@ pub fn try_measure_cell_store(
     exec: EngineExec,
     m: &MeasureOpts,
 ) -> Result<CellMeasurement, CellError> {
+    let ids = store_ids(cell, snap);
     let parts = (0..snap.shard_count().max(1))
-        .map(|k| measure_shard(cell, snap, k, algos, exec, m))
+        .map(|k| measure_shard(cell, snap, &ids, k, algos, exec, m))
         .collect::<Result<_, _>>()?;
     Ok(assemble(cell, algos, parts))
 }
@@ -328,12 +330,21 @@ fn measure_in_memory(
     Ok((hash, part.map_err(fail)?))
 }
 
+/// The global ids of a store-backed cell, `ids[v]` for node `v` of the
+/// whole instance: the ones [`Network::new`] hands the unsharded graph.
+/// Computed once per cell and shared by all of its shards.
+fn store_ids(cell: &Cell<FamilySpec>, store: &ShardedSnapshot) -> Vec<u64> {
+    assigned_ids(store.node_count(), IdAssignment::Shuffled { seed: cell.seed })
+}
+
 /// Measures shard `k` of a cell's published store as one work item: the
-/// shard image, carrying its slice of the cell's global ids and announcing
-/// the cell's `(n, Δ)`. Returns the instance's content hash with the part.
+/// shard image, carrying its slice of the cell's global ids (`ids`, from
+/// [`store_ids`]) and announcing the cell's `(n, Δ)`. Returns the
+/// instance's content hash with the part.
 fn measure_shard(
     cell: &Cell<FamilySpec>,
     store: &ShardedSnapshot,
+    ids: &[u64],
     k: usize,
     algos: &[AlgoSpec],
     exec: EngineExec,
@@ -341,7 +352,6 @@ fn measure_shard(
 ) -> Result<(u64, Part), CellError> {
     let fail = |e: String| CellError::new(cell, format!("shard {k}: {e}"));
     let g = store.load_shard(k).map_err(|e| fail(e.to_string()))?;
-    let ids = assigned_ids(store.node_count(), IdAssignment::Shuffled { seed: cell.seed });
     let net = Network::with_ids(g, store.members(k).iter().map(|&v| ids[v as usize]).collect())
         .with_known_n(store.node_count())
         .with_announced_max_degree(store.max_degree());
@@ -496,12 +506,18 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>)
         None => (0..items.len()).map(|j| vec![j]).collect(),
     };
     let mut hashes: Vec<Option<u64>> = vec![None; cells.len()];
+    // A store-backed cell's id table (8 bytes a node), filled by whichever
+    // of its shard items runs first and kept until the run ends.
+    let ids: Vec<OnceLock<Vec<u64>>> = cells.iter().map(|_| OnceLock::new()).collect();
     let run = runner.try_run_parts(
         &cells,
         &item_sizes.iter().map(Vec::len).collect::<Vec<_>>(),
         &groups,
         |ci, item| match &plans[ci] {
-            Ok(Some(store)) => measure_shard(&cells[ci], store, item, algos, exec, &m),
+            Ok(Some(store)) => {
+                let ids = ids[ci].get_or_init(|| store_ids(&cells[ci], store));
+                measure_shard(&cells[ci], store, ids, item, algos, exec, &m)
+            }
             Ok(None) => measure_in_memory(&cells[ci], algos, exec, &m),
             Err(e) => Err(CellError::new(&cells[ci], e.clone())),
         },

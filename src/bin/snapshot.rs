@@ -23,10 +23,14 @@
 //! it at n = 2²²). Family slugs are the scenario layer's (`torus`,
 //! `hypercube`, `3-regular`, `caterpillar-40`, `pods-p8x2`, …).
 //!
-//! Exit codes: 0 ok, 1 validation/roundtrip failure, 2 usage error.
+//! Exit codes: 0 ok, 1 validation/roundtrip failure, 2 usage or output
+//! error. Output goes through one writer whose errors are checked: a
+//! reader that closes the pipe early ends the command with exit 0 instead
+//! of a panic.
 
 use lcl_graph::{snapshot_header, Graph, ShardedSnapshotWriter, DEFAULT_MAX_SHARDS};
 use lcl_scenario::FamilySpec;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -41,15 +45,27 @@ const USAGE: &str = "usage: snapshot <command>
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
-    match strs.as_slice() {
-        ["freeze", slug, n, seed, path] => cmd_freeze(slug, n, seed, Path::new(path)),
-        ["check", path] => cmd_check(Path::new(path)),
-        ["info", path] => cmd_info(Path::new(path)),
-        ["roundtrip", slug, n, seed] => cmd_roundtrip(slug, n, seed),
-        ["stream", slug, n, seed, dir] => cmd_stream(slug, n, seed, Path::new(dir), None),
-        ["stream", slug, n, seed, dir, max] => cmd_stream(slug, n, seed, Path::new(dir), Some(max)),
+    let out = &mut io::stdout();
+    let result = match strs.as_slice() {
+        ["freeze", slug, n, seed, path] => cmd_freeze(slug, n, seed, Path::new(path), out),
+        ["check", path] => cmd_check(Path::new(path), out),
+        ["info", path] => cmd_info(Path::new(path), out),
+        ["roundtrip", slug, n, seed] => cmd_roundtrip(slug, n, seed, out),
+        ["stream", slug, n, seed, dir] => cmd_stream(slug, n, seed, Path::new(dir), None, out),
+        ["stream", slug, n, seed, dir, max] => {
+            cmd_stream(slug, n, seed, Path::new(dir), Some(max), out)
+        }
         _ => {
             eprintln!("snapshot: missing or unknown command\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match result.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // The reader went away (`| head`): nothing left to say, not a failure.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("snapshot: {e}");
             ExitCode::from(2)
         }
     }
@@ -63,53 +79,62 @@ fn build(slug: &str, n: &str, seed: &str) -> Result<Graph, String> {
     family.build(n, seed).map_err(|e| e.to_string())
 }
 
-fn cmd_freeze(slug: &str, n: &str, seed: &str, path: &Path) -> ExitCode {
+fn cmd_freeze(
+    slug: &str,
+    n: &str,
+    seed: &str,
+    path: &Path,
+    out: &mut impl Write,
+) -> io::Result<ExitCode> {
     let g = match build(slug, n, seed) {
         Ok(g) => g,
         Err(e) => {
             eprintln!("snapshot: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     match g.freeze(path) {
         Ok(hash) => {
-            println!(
+            writeln!(
+                out,
                 "froze {slug} n={} m={} to {} (hash {hash:016x})",
                 g.node_count(),
                 g.edge_count(),
                 path.display()
-            );
-            ExitCode::SUCCESS
+            )?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("snapshot: freeze failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_check(path: &Path) -> ExitCode {
+fn cmd_check(path: &Path, out: &mut impl Write) -> io::Result<ExitCode> {
     match Graph::load_frozen(path) {
         Ok(g) => {
-            println!(
+            writeln!(
+                out,
                 "ok: {} nodes, {} edges, hash {:016x}",
                 g.node_count(),
                 g.edge_count(),
                 g.content_hash()
-            );
-            ExitCode::SUCCESS
+            )?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("snapshot: invalid image {}: {e}", path.display());
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_info(path: &Path) -> ExitCode {
+fn cmd_info(path: &Path, out: &mut impl Write) -> io::Result<ExitCode> {
     match snapshot_header(path) {
         Ok(h) => {
-            println!(
+            writeln!(
+                out,
                 "{}: lclg v{} n={} m={} max_degree={} hash={:016x}",
                 path.display(),
                 h.version,
@@ -117,17 +142,24 @@ fn cmd_info(path: &Path) -> ExitCode {
                 h.m,
                 h.max_degree,
                 h.hash
-            );
-            ExitCode::SUCCESS
+            )?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("snapshot: unreadable header {}: {e}", path.display());
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_stream(slug: &str, n: &str, seed: &str, dir: &Path, max: Option<&str>) -> ExitCode {
+fn cmd_stream(
+    slug: &str,
+    n: &str,
+    seed: &str,
+    dir: &Path,
+    max: Option<&str>,
+    out: &mut impl Write,
+) -> io::Result<ExitCode> {
     let parsed = (|| -> Result<(FamilySpec, usize, u64, usize), String> {
         let family =
             FamilySpec::from_slug(slug).ok_or_else(|| format!("unknown family slug `{slug}`"))?;
@@ -146,7 +178,7 @@ fn cmd_stream(slug: &str, n: &str, seed: &str, dir: &Path, max: Option<&str>) ->
         Ok(p) => p,
         Err(e) => {
             eprintln!("snapshot: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let streamed = (|| -> Result<_, String> {
@@ -157,7 +189,8 @@ fn cmd_stream(slug: &str, n: &str, seed: &str, dir: &Path, max: Option<&str>) ->
     })();
     match streamed {
         Ok(s) => {
-            println!(
+            writeln!(
+                out,
                 "streamed {slug} n={} m={} max_degree={} into {} shard(s) at {} (hash {:016x})",
                 s.n,
                 s.m,
@@ -165,22 +198,22 @@ fn cmd_stream(slug: &str, n: &str, seed: &str, dir: &Path, max: Option<&str>) ->
                 s.shards,
                 dir.display(),
                 s.graph_hash
-            );
-            ExitCode::SUCCESS
+            )?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("snapshot: stream failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_roundtrip(slug: &str, n: &str, seed: &str) -> ExitCode {
+fn cmd_roundtrip(slug: &str, n: &str, seed: &str, out: &mut impl Write) -> io::Result<ExitCode> {
     let g = match build(slug, n, seed) {
         Ok(g) => g,
         Err(e) => {
             eprintln!("snapshot: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let dir = std::env::temp_dir();
@@ -191,16 +224,17 @@ fn cmd_roundtrip(slug: &str, n: &str, seed: &str) -> ExitCode {
     std::fs::remove_file(&b).ok();
     match result {
         Ok(hash) => {
-            println!(
+            writeln!(
+                out,
                 "roundtrip ok: {slug} n={} m={} hash {hash:016x}",
                 g.node_count(),
                 g.edge_count()
-            );
-            ExitCode::SUCCESS
+            )?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("snapshot: roundtrip failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }

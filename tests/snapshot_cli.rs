@@ -3,7 +3,7 @@
 //! CI scale-smoke leg drives, exercised here at sane sizes.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn snapshot(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_snapshot")).args(args).output().expect("snapshot binary runs")
@@ -86,5 +86,29 @@ fn stream_publishes_a_store_matching_the_monolithic_freeze() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("3 shard(s)"));
     let bad = snapshot(&["stream", "pods-p4x0", "64", "1", &capped_str, "zero"]);
     assert_eq!(bad.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn commands_into_a_closed_pipe_exit_cleanly() {
+    // The reader is gone before the child starts, so every write to its
+    // stdout fails; the command's work is still done.
+    let dir = tempdir("epipe");
+    let image = dir.join("torus.lclg");
+    let image_str = image.display().to_string();
+    for args in [&["freeze", "torus", "64", "1", &image_str][..], &["info", &image_str]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_snapshot"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("snapshot binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(image.is_file(), "freeze wrote its image although nobody read its line");
     std::fs::remove_dir_all(&dir).ok();
 }
