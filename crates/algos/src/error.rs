@@ -2,7 +2,7 @@
 //!
 //! A pathological instance must fail *one row*, not the process: the
 //! pooled batch engine runs many cells on shared workers, and a `panic!`
-//! in one cell poisons the whole pool. The fallible `try_run` variants
+//! in one cell poisons the whole pool. The fallible `try_run*` variants
 //! return these errors instead; the panicking `run` wrappers remain for
 //! callers that know their instances are good.
 

@@ -41,7 +41,7 @@
 //! `lcl-certify` checkers whenever [`lcl_certify::enabled`] says so
 //! (debug builds, or `LCL_CERTIFY=1`): the algorithms do not grade their
 //! own homework. Pathological instances surface as typed
-//! [`error::AlgoError`]s through the `try_run` variants instead of
+//! [`error::AlgoError`]s through the `try_run*` variants instead of
 //! panicking the shared worker pool.
 
 #![forbid(unsafe_code)]

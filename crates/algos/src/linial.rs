@@ -78,25 +78,15 @@ pub fn run_with<X: NodeExecutor>(net: &Network, exec: &X) -> LinialOutcome {
     try_run_with(net, exec).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`run`]: a pathological instance fails this call instead of
-/// panicking the process.
+/// Fallible [`run_with`]: a pathological instance fails this call instead
+/// of panicking the process. Every simulated round's per-node recoloring
+/// step fans out across the executor. Each node reads only the previous
+/// round's colors, so the outcome is bit-identical under **any** executor.
 ///
 /// # Errors
 ///
 /// [`AlgoError::Unsolvable`] if the graph contains a self-loop — no
 /// proper coloring exists (the reason mentions "loopless").
-pub fn try_run(net: &Network) -> Result<LinialOutcome, AlgoError> {
-    try_run_with(net, &Sequential)
-}
-
-/// [`try_run`] with a pluggable [`NodeExecutor`]: every simulated round's
-/// per-node recoloring step fans out across the executor. Each node reads
-/// only the previous round's colors, so the outcome is bit-identical to
-/// [`try_run`] under **any** executor.
-///
-/// # Errors
-///
-/// As [`try_run`].
 pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOutcome, AlgoError> {
     let g = net.graph();
     if g.edges().any(|e| g.is_self_loop(e)) {

@@ -181,7 +181,7 @@ impl DistributedLubyOutcome {
 ///
 /// # Panics
 ///
-/// Panics on the [`try_run`] error cases.
+/// Panics on the [`try_run_with`] error cases.
 #[must_use]
 pub fn run(net: &Network, seed: u64) -> DistributedLubyOutcome {
     run_with(net, seed, &Sequential)
@@ -197,8 +197,10 @@ pub fn run_with<X: NodeExecutor>(net: &Network, seed: u64, exec: &X) -> Distribu
     try_run_with(net, seed, exec).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`run`]: a pathological instance fails this call instead of
-/// panicking the process.
+/// Fallible [`run_with`]: a pathological instance fails this call instead
+/// of panicking the process. Per-node protocol steps fan out across the
+/// executor, with the outcome bit-identical under **any** executor
+/// (per-node RNG streams never interleave).
 ///
 /// # Errors
 ///
@@ -206,18 +208,6 @@ pub fn run_with<X: NodeExecutor>(net: &Network, seed: u64, exec: &X) -> Distribu
 /// there; the reason mentions "loopless"), [`AlgoError::RoundCapExceeded`]
 /// if the protocol does not terminate within `8·(log₂ n + 4)` phases — an
 /// event of vanishing probability that would indicate a bug.
-pub fn try_run(net: &Network, seed: u64) -> Result<DistributedLubyOutcome, AlgoError> {
-    try_run_with(net, seed, &Sequential)
-}
-
-/// [`try_run`] with a pluggable [`NodeExecutor`]: per-node protocol steps
-/// fan out across the executor, with the outcome bit-identical to
-/// [`try_run`] under **any** executor (per-node RNG streams never
-/// interleave).
-///
-/// # Errors
-///
-/// As [`try_run`].
 pub fn try_run_with<X: NodeExecutor>(
     net: &Network,
     seed: u64,
@@ -319,7 +309,7 @@ mod tests {
         let mut g = gen::path(2);
         g.add_edge(lcl_graph::NodeId(0), lcl_graph::NodeId(0));
         let net = Network::new(g, IdAssignment::Sequential);
-        match try_run(&net, 1) {
+        match try_run_with(&net, 1, &Sequential) {
             Err(AlgoError::Unsolvable { algo: "luby-rounds", reason }) => {
                 assert!(reason.contains("loopless"));
             }

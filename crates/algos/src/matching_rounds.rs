@@ -258,7 +258,7 @@ impl DistributedMatchingOutcome {
 ///
 /// # Panics
 ///
-/// Panics on the [`try_run`] error cases.
+/// Panics on the [`try_run_with`] error cases.
 #[must_use]
 pub fn run(net: &Network, seed: u64) -> DistributedMatchingOutcome {
     run_with(net, seed, &Sequential)
@@ -274,25 +274,15 @@ pub fn run_with<X: NodeExecutor>(net: &Network, seed: u64, exec: &X) -> Distribu
     try_run_with(net, seed, exec).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`run`]: a pathological instance fails this call instead of
-/// panicking the process.
+/// Fallible [`run_with`]: a pathological instance fails this call instead
+/// of panicking the process. Per-node protocol steps fan out across the
+/// executor, with the outcome bit-identical under **any** executor.
 ///
 /// # Errors
 ///
 /// [`AlgoError::Unsolvable`] on graphs with self-loops (the reason
 /// mentions "loopless"), [`AlgoError::RoundCapExceeded`] if the protocol
 /// exceeds its round cap (vanishing probability).
-pub fn try_run(net: &Network, seed: u64) -> Result<DistributedMatchingOutcome, AlgoError> {
-    try_run_with(net, seed, &Sequential)
-}
-
-/// [`try_run`] with a pluggable [`NodeExecutor`]: per-node protocol steps
-/// fan out across the executor, with the outcome bit-identical to
-/// [`try_run`] under **any** executor.
-///
-/// # Errors
-///
-/// As [`try_run`].
 pub fn try_run_with<X: NodeExecutor>(
     net: &Network,
     seed: u64,

@@ -121,8 +121,8 @@ fn bench_grid_sched(c: &mut Criterion) {
         plan.predicted_makespan_ms / 1000.0
     );
     // Publish the machine-readable trajectory point before asserting, so
-    // a failing gate still records what it measured; the candidate wall
-    // time doubles as scheduler training data (`bench_history`).
+    // a failing gate still records what it measured, with the scheduled
+    // side's absolute wall time next to the ratio.
     let gate = lcl_report::BenchGate::new("grid_sched", 1.5, ratio, BIG_N, "1x2^18+255x3000-sleep")
         .with_candidate_ms(scheduled.as_secs_f64() * 1e3);
     match gate.write() {

@@ -8,17 +8,17 @@
 //!
 //! 1. **Cost model** ([`CostModel::fit`]) — per `(family, algorithm-set)`
 //!    class, fit the coefficients of a `c · n^a` curve to observed cell
-//!    wall times (log–log least squares), sourced from persisted run
-//!    manifests and `BENCH_*.json` records (`lcl_report::cost_history` /
-//!    `bench_history`). Classes with no history fall back to a static
-//!    estimate the caller supplies, calibrated onto the model's
-//!    millisecond scale ([`predict_costs`]).
-//! 2. **Placement** ([`build_schedule`]) — sort cells by predicted cost
-//!    descending (longest-processing-time-first) and place each onto the
-//!    less loaded of **two** deterministically hashed candidate workers
-//!    (two-choice balanced allocation à la Benjamini–Makarychev), then run
-//!    a greedy local-search pass moving cells off the makespan-defining
-//!    worker while that strictly helps.
+//!    wall times (log–log least squares), read from the `cell_ms:` meta of
+//!    persisted run manifests (`lcl_report::cost_history`). Classes with
+//!    no history fall back to a static estimate the caller supplies,
+//!    calibrated onto the model's millisecond scale ([`predict_costs`]).
+//! 2. **Placement** ([`build_schedule`]) — Graham's longest-processing-
+//!    time-first rule: take cells by predicted cost descending and put
+//!    each onto the least-loaded worker, which bounds the makespan by
+//!    `4/3 − 1/(3m)` times the optimum at `m` workers. Moving one cell off
+//!    the heaviest worker cannot help afterwards: that worker's last cell
+//!    arrived when it was the least loaded, so its gap to the lightest
+//!    worker is at most that cell, and its other cells are no smaller.
 //! 3. **Dispatch** — `BatchRunner::try_run_parts` executes each worker's
 //!    item list (whole cells, or the shards of a store-backed cell) as one
 //!    pool job and stitches rows back in canonical cell order, so a
@@ -166,98 +166,23 @@ pub struct Schedule {
     pub workers: usize,
 }
 
-/// SplitMix64: the deterministic hash behind two-choice placement.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The two distinct candidate workers for the item at LPT rank `rank`.
-fn two_choices(rank: usize, workers: usize) -> (usize, usize) {
-    let h = splitmix64(rank as u64);
-    #[allow(clippy::cast_possible_truncation)]
-    let c1 = (h % workers as u64) as usize;
-    #[allow(clippy::cast_possible_truncation)]
-    let mut c2 = ((h >> 32) % workers as u64) as usize;
-    if c1 == c2 {
-        c2 = (c2 + 1) % workers;
-    }
-    (c1, c2)
-}
-
-/// Greedy local search: while the heaviest worker holds a cell whose cost
-/// is strictly below its gap to the lightest worker, move the largest
-/// such cell over — each move strictly lowers the pair's max, so the
-/// global makespan never increases and usually drops. Iterations are
-/// bounded, so float plateaus cannot loop.
-fn refine(groups: &mut [Vec<usize>], load: &mut [f64], costs: &[f64]) {
-    for _ in 0..2 * costs.len() + groups.len() {
-        let ((lo, lo_load), (hi, hi_load)) = argminmax(load);
-        let gap = hi_load - lo_load;
-        if gap <= 0.0 {
-            break;
-        }
-        // Largest cell strictly below the gap; first position on ties.
-        let mut best: Option<(usize, f64)> = None;
-        for (pos, &cell) in groups[hi].iter().enumerate() {
-            let c = costs[cell];
-            if c > 0.0 && c < gap && best.is_none_or(|(_, b)| c > b) {
-                best = Some((pos, c));
-            }
-        }
-        let Some((pos, c)) = best else { break };
-        let cell = groups[hi].remove(pos);
-        load[hi] -= c;
-        load[lo] += c;
-        groups[lo].push(cell);
-    }
-}
-
-/// `((argmin, min), (argmax, max))` of a non-empty slice; ties resolve to
-/// the lowest index, keeping the whole pass deterministic.
-fn argminmax(xs: &[f64]) -> ((usize, f64), (usize, f64)) {
-    let mut min = (0, xs[0]);
-    let mut max = (0, xs[0]);
-    for (i, &x) in xs.iter().enumerate().skip(1) {
-        if x < min.1 {
-            min = (i, x);
-        }
-        if x > max.1 {
-            max = (i, x);
-        }
-    }
-    (min, max)
-}
-
 /// Builds the makespan-balanced schedule for `costs` over `workers`
-/// workers: LPT order, two-choice placement, greedy refinement.
+/// workers by LPT: items in descending predicted cost (ties by index),
+/// each onto the least-loaded worker (ties to the lowest index).
 /// Deterministic in its inputs; `workers` is clamped to at least 1.
 #[must_use]
 pub fn build_schedule(costs: &[f64], workers: usize) -> Schedule {
     let workers = workers.max(1);
     let mut order: Vec<usize> = (0..costs.len()).collect();
-    // LPT: predicted cost descending, index ascending on ties.
     order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
     let mut groups = vec![Vec::new(); workers];
     let mut load = vec![0.0_f64; workers];
-    for (rank, &cell) in order.iter().enumerate() {
-        let w = if workers == 1 {
-            0
-        } else {
-            let (c1, c2) = two_choices(rank, workers);
-            // Less loaded of the two candidates; ties to the lower index.
-            if load[c2] < load[c1] || (load[c2] == load[c1] && c2 < c1) {
-                c2
-            } else {
-                c1
-            }
-        };
+    for cell in order {
+        // `min_by` keeps the first of equal minima: the lowest index.
+        let w = (0..workers).min_by(|&a, &b| load[a].total_cmp(&load[b])).unwrap_or(0);
         groups[w].push(cell);
         load[w] += costs[cell];
     }
-    refine(&mut groups, &mut load, costs);
     for g in &mut groups {
         g.sort_unstable();
     }
@@ -268,6 +193,7 @@ pub fn build_schedule(costs: &[f64], workers: usize) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample(family: &str, algos: &str, n: usize, ms: f64) -> CostSample {
         CostSample { family: family.into(), algos: algos.into(), n, ms }
@@ -353,8 +279,8 @@ mod tests {
         let costs = [10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
         let s = build_schedule(&costs, 2);
         assert_partition(&s, costs.len());
-        // Optimal makespan is 10 (big cell alone vs six smalls): LPT +
-        // refinement must land exactly there.
+        // Optimal makespan is 10 (big cell alone vs six smalls): LPT must
+        // land exactly there.
         assert!(
             (s.predicted_makespan_ms - 10.0).abs() < 1e-9,
             "makespan {}",
@@ -427,14 +353,144 @@ mod tests {
         assert!(s.predicted_makespan_ms <= 1.05 * lower, "{} vs {lower}", s.predicted_makespan_ms);
     }
 
-    #[test]
-    fn two_choices_are_distinct_and_in_range() {
-        for workers in [2, 3, 4, 7] {
-            for rank in 0..200 {
-                let (c1, c2) = two_choices(rank, workers);
-                assert!(c1 < workers && c2 < workers);
-                assert_ne!(c1, c2);
+    /// The placement `build_schedule` made before plain LPT, kept as the
+    /// reference: LPT order, each item onto the less loaded of two hashed
+    /// candidate workers, then a local search moving cells off the
+    /// heaviest worker while that strictly helps.
+    fn reference_groups(costs: &[f64], workers: usize) -> Vec<Vec<usize>> {
+        fn splitmix64(x: u64) -> u64 {
+            let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn two_choices(rank: usize, workers: usize) -> (usize, usize) {
+            let h = splitmix64(rank as u64);
+            let c1 = (h % workers as u64) as usize;
+            let mut c2 = ((h >> 32) % workers as u64) as usize;
+            if c1 == c2 {
+                c2 = (c2 + 1) % workers;
             }
+            (c1, c2)
+        }
+        fn argminmax(xs: &[f64]) -> ((usize, f64), (usize, f64)) {
+            let mut min = (0, xs[0]);
+            let mut max = (0, xs[0]);
+            for (i, &x) in xs.iter().enumerate().skip(1) {
+                if x < min.1 {
+                    min = (i, x);
+                }
+                if x > max.1 {
+                    max = (i, x);
+                }
+            }
+            (min, max)
+        }
+        fn refine(groups: &mut [Vec<usize>], load: &mut [f64], costs: &[f64]) {
+            for _ in 0..2 * costs.len() + groups.len() {
+                let ((lo, lo_load), (hi, hi_load)) = argminmax(load);
+                let gap = hi_load - lo_load;
+                if gap <= 0.0 {
+                    break;
+                }
+                let mut best: Option<(usize, f64)> = None;
+                for (pos, &cell) in groups[hi].iter().enumerate() {
+                    let c = costs[cell];
+                    if c > 0.0 && c < gap && best.is_none_or(|(_, b)| c > b) {
+                        best = Some((pos, c));
+                    }
+                }
+                let Some((pos, c)) = best else { break };
+                let cell = groups[hi].remove(pos);
+                load[hi] -= c;
+                load[lo] += c;
+                groups[lo].push(cell);
+            }
+        }
+        let workers = workers.max(1);
+        let mut order: Vec<usize> = (0..costs.len()).collect();
+        order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
+        let mut groups = vec![Vec::new(); workers];
+        let mut load = vec![0.0_f64; workers];
+        for (rank, &cell) in order.iter().enumerate() {
+            let w = if workers == 1 {
+                0
+            } else {
+                let (c1, c2) = two_choices(rank, workers);
+                if load[c2] < load[c1] || (load[c2] == load[c1] && c2 < c1) {
+                    c2
+                } else {
+                    c1
+                }
+            };
+            groups[w].push(cell);
+            load[w] += costs[cell];
+        }
+        refine(&mut groups, &mut load, costs);
+        for g in &mut groups {
+            g.sort_unstable();
+        }
+        groups
+    }
+
+    /// The optimal makespan of `costs` on `workers` workers, over every
+    /// assignment (the first empty worker stands for all empty ones).
+    fn brute_force_makespan(costs: &[f64], workers: usize) -> f64 {
+        fn go(costs: &[f64], load: &mut [f64], used: usize) -> f64 {
+            let Some((&c, rest)) = costs.split_first() else {
+                return load.iter().fold(0.0, |m, &l| m.max(l));
+            };
+            let mut best = f64::INFINITY;
+            for w in 0..load.len().min(used + 1) {
+                load[w] += c;
+                best = best.min(go(rest, load, used.max(w + 1)));
+                load[w] -= c;
+            }
+            best
+        }
+        go(costs, &mut vec![0.0; workers], 0)
+    }
+
+    /// Integer-valued costs, so every load sum is exact; a small cap on
+    /// some vectors makes ties common.
+    fn int_costs(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
+        (1_u32..1000).prop_flat_map(move |cap| {
+            collection::vec(0..cap, 0..max_len + 1)
+                .prop_map(|v| v.into_iter().map(f64::from).collect::<Vec<f64>>())
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn lpt_matches_the_two_choice_reference_at_two_workers(costs in int_costs(64)) {
+            prop_assert_eq!(build_schedule(&costs, 2).groups, reference_groups(&costs, 2));
+        }
+
+        #[test]
+        fn lpt_is_within_grahams_bound_of_the_optimum(
+            workers in 2_usize..5,
+            costs in int_costs(8),
+        ) {
+            let s = build_schedule(&costs, workers);
+            let opt = brute_force_makespan(&costs, workers);
+            // makespan ≤ (4/3 − 1/(3m))·opt, multiplied out to stay exact.
+            let m = workers as f64;
+            prop_assert!(
+                3.0 * m * s.predicted_makespan_ms <= (4.0 * m - 1.0) * opt,
+                "makespan {} vs optimum {opt}",
+                s.predicted_makespan_ms
+            );
+        }
+
+        #[test]
+        fn groups_partition_the_items_and_ascend(
+            workers in 0_usize..9,
+            costs in collection::vec(0_u32..1 << 20, 0..65),
+        ) {
+            let costs: Vec<f64> = costs.into_iter().map(|c| f64::from(c) / 7.0).collect();
+            let s = build_schedule(&costs, workers);
+            prop_assert_eq!(s.groups.len(), workers.max(1));
+            assert_partition(&s, costs.len());
         }
     }
 }

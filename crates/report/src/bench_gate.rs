@@ -13,11 +13,7 @@ use std::path::{Path, PathBuf};
 
 /// One perf-gate measurement: the asserted floor, what was actually
 /// measured, and the workload it was measured on, stamped with provenance.
-///
-/// `Deserialize` is hand-written (not derived) so records written before
-/// the `candidate_ms` field existed still parse — it defaults to `0.0`
-/// ("no wall time recorded") when the key is absent.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BenchGate {
     /// Gate name (`rounds`, `ball_cache`, `serialize`); also names the
     /// output file `BENCH_<bench>.json`.
@@ -31,33 +27,13 @@ pub struct BenchGate {
     /// Workload family label (e.g. "cycle+8reg-tree").
     pub family: String,
     /// Wall-clock milliseconds of the candidate (fast) side of the gate,
-    /// `0.0` when the gate does not record one — gates that do feed the
-    /// grid scheduler's cost model as `bench:<name>` samples
-    /// (`lcl_report::bench_history`).
+    /// `0.0` when the gate does not record one: the gate's absolute cost,
+    /// next to the ratio it asserts.
     pub candidate_ms: f64,
     /// Git revision of the tree the bench ran on.
     pub git_rev: String,
     /// UTC wall-clock time of the measurement.
     pub timestamp_utc: String,
-}
-
-impl Deserialize for BenchGate {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(BenchGate {
-            bench: Deserialize::from_value(v.field("bench")?)?,
-            gate_ratio: Deserialize::from_value(v.field("gate_ratio")?)?,
-            measured_ratio: Deserialize::from_value(v.field("measured_ratio")?)?,
-            n: Deserialize::from_value(v.field("n")?)?,
-            family: Deserialize::from_value(v.field("family")?)?,
-            // Absent in pre-candidate_ms records: default to "none".
-            candidate_ms: match v.field("candidate_ms") {
-                Ok(ms) => Deserialize::from_value(ms)?,
-                Err(_) => 0.0,
-            },
-            git_rev: Deserialize::from_value(v.field("git_rev")?)?,
-            timestamp_utc: Deserialize::from_value(v.field("timestamp_utc")?)?,
-        })
-    }
 }
 
 impl BenchGate {
@@ -77,8 +53,7 @@ impl BenchGate {
         }
     }
 
-    /// Records the candidate side's wall time (builder style), making
-    /// this gate a training sample for the grid scheduler's cost model.
+    /// Records the candidate side's wall time; chains after [`BenchGate::new`].
     #[must_use]
     pub fn with_candidate_ms(mut self, ms: f64) -> Self {
         self.candidate_ms = ms;
@@ -130,7 +105,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lcl-bench-gate-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let gate = BenchGate::new("unit", 2.0, 5.8, 4096, "cycle");
+        let gate = BenchGate::new("unit", 2.0, 5.8, 4096, "cycle").with_candidate_ms(12.5);
         let path = gate.write_to(&dir).unwrap();
         assert!(path.ends_with("BENCH_unit.json"));
         let text = std::fs::read_to_string(&path).unwrap();
@@ -139,21 +114,5 @@ mod tests {
         assert_eq!(back, gate);
         assert!(back.measured_ratio >= back.gate_ratio);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_record_without_candidate_ms_still_parses() {
-        let gate = BenchGate::new("unit", 2.0, 5.8, 4096, "cycle");
-        let json = serde_json::to_string(&gate).unwrap();
-        let legacy = json.replace(",\"candidate_ms\":0.0", "");
-        assert_ne!(legacy, json, "candidate_ms key must have been stripped");
-        let back: BenchGate = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back, gate);
-        assert_eq!(back.candidate_ms, 0.0);
-        // The builder round-trips a recorded wall time.
-        let timed = gate.with_candidate_ms(12.5);
-        let back: BenchGate =
-            serde_json::from_str(&serde_json::to_string(&timed).unwrap()).unwrap();
-        assert_eq!(back.candidate_ms, 12.5);
     }
 }

@@ -1,28 +1,19 @@
 //! Cost-history readback: the training data for the grid scheduler.
 //!
 //! The scheduler's cost model (`lcl_bench::sched`) learns `c · n^a` curves
-//! from what previous runs actually took. Two sources already live on
-//! disk, both read here:
+//! from what previous runs actually took. Every persisted scenario run's
+//! manifest carries one `cell_ms:<family>:<n>:<seed>` meta pair per
+//! measured cell; [`cost_history`] turns them into [`CostSample`]s keyed by
+//! the run's per-family algorithm set.
 //!
-//! * **Persisted scenario runs** — every run's manifest carries one
-//!   `cell_ms:<family>:<n>:<seed>` meta pair per measured cell (and
-//!   scheduled runs additionally `predicted_ms:`/`actual_ms:` pairs, the
-//!   self-improvement loop's error record). [`cost_history`] turns them
-//!   into [`CostSample`]s keyed by the run's per-family algorithm set.
-//! * **`BENCH_*.json` perf-gate records** — gates that record a
-//!   `candidate_ms` wall time become samples under a `bench:<name>`
-//!   algorithm key via [`bench_history`].
-//!
-//! [`prediction_error`] is the reporting half: it pairs a manifest's
-//! `predicted_ms:`/`actual_ms:` entries into an aggregate relative error,
-//! which `results show`/`results trend` surface (and which quantifies how
-//! much the model still has to learn).
+//! [`prediction_error`] is the reporting half: scheduled runs also record
+//! `predicted_ms:`/`actual_ms:` pairs, and it pairs them into an aggregate
+//! relative error, which `results show`/`results trend` surface (and which
+//! quantifies how much the model still has to learn).
 
-use crate::bench_gate::BenchGate;
 use crate::store::RunStore;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
 /// One observed cell cost: a `(family, algorithm-set, n)` class and the
 /// wall-clock milliseconds it took.
@@ -31,8 +22,7 @@ pub struct CostSample {
     /// Family slug the cell was generated from (e.g. `torus`).
     pub family: String,
     /// Algorithm-set key: scenario algo slugs joined with `+` in spec
-    /// order (e.g. `luby+linial`), or `bench:<name>` for perf-gate
-    /// samples.
+    /// order (e.g. `luby+linial`).
     pub algos: String,
     /// Grid size of the cell.
     pub n: usize,
@@ -40,13 +30,12 @@ pub struct CostSample {
     pub ms: f64,
 }
 
-/// Reads every persisted run's per-cell timing meta into cost samples.
-///
-/// A cell's sample prefers `actual_ms:` (written by scheduled runs, so
-/// the model consumes its own errors) over `cell_ms:` (written by every
-/// run). The algorithm-set key is derived from the run's series labels
-/// (`family/algo`), so a sample trained on `luby+linial` never predicts
-/// for a grid running a different algorithm set.
+/// Reads every persisted run's per-cell `cell_ms:` meta into cost samples.
+/// (A scheduled run's `actual_ms:` entries are the same figures: both are
+/// written from one measurement in one format.) The algorithm-set key is
+/// derived from the run's series labels (`family/algo`), so a sample
+/// trained on `luby+linial` never predicts for a grid running a different
+/// algorithm set.
 ///
 /// # Errors
 ///
@@ -68,24 +57,17 @@ pub fn cost_history(store: &RunStore) -> io::Result<Vec<CostSample>> {
         if algos_by_family.is_empty() {
             continue;
         }
-        // Cell → (ms, came-from-actual_ms): actual_ms wins over cell_ms.
-        let mut timed: BTreeMap<(String, usize, u64), (f64, bool)> = BTreeMap::new();
+        // Cells in canonical `(family, n, seed)` order, so the fitted
+        // curves do not depend on the order a spec lists its axes in.
+        let mut timed: BTreeMap<(String, usize, u64), f64> = BTreeMap::new();
         for (k, v) in &m.meta {
-            let (prefer, rest) = if let Some(r) = k.strip_prefix("actual_ms:") {
-                (true, r)
-            } else if let Some(r) = k.strip_prefix("cell_ms:") {
-                (false, r)
-            } else {
+            let Some(cell) = k.strip_prefix("cell_ms:").and_then(parse_cell_suffix) else {
                 continue;
             };
-            let Some(cell) = parse_cell_suffix(rest) else { continue };
             let Ok(ms) = v.parse::<f64>() else { continue };
-            let entry = timed.entry(cell).or_insert((ms, prefer));
-            if prefer && !entry.1 {
-                *entry = (ms, true);
-            }
+            timed.entry(cell).or_insert(ms);
         }
-        for ((family, n, _seed), (ms, _)) in timed {
+        for ((family, n, _seed), ms) in timed {
             let Some(algos) = algos_by_family.get(family.as_str()) else { continue };
             out.push(CostSample { algos: algos.join("+"), family, n, ms });
         }
@@ -99,40 +81,6 @@ fn parse_cell_suffix(rest: &str) -> Option<(String, usize, u64)> {
     let (head, seed) = rest.rsplit_once(':')?;
     let (family, n) = head.rsplit_once(':')?;
     Some((family.to_string(), n.parse().ok()?, seed.parse().ok()?))
-}
-
-/// Reads every `BENCH_*.json` perf-gate record under `dir` that carries a
-/// `candidate_ms` wall time into cost samples, keyed `bench:<name>` so
-/// they train their own curves without polluting scenario classes.
-/// Unreadable or legacy (no wall time) records are skipped — history is
-/// advisory, and a missing directory is simply empty history.
-#[must_use]
-pub fn bench_history(dir: &Path) -> Vec<CostSample> {
-    let mut out = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else { return out };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(entry.path()) else { continue };
-        let Ok(gate) = serde_json::from_str::<BenchGate>(text.trim()) else { continue };
-        if gate.candidate_ms > 0.0 {
-            out.push(CostSample {
-                family: gate.family,
-                algos: format!("bench:{}", gate.bench),
-                n: gate.n,
-                ms: gate.candidate_ms,
-            });
-        }
-    }
-    // Directory iteration order is platform-dependent; sort for stable
-    // downstream fits.
-    out.sort_by(|a, b| {
-        (&a.family, &a.algos, a.n).cmp(&(&b.family, &b.algos, b.n)).then(a.ms.total_cmp(&b.ms))
-    });
-    out
 }
 
 /// Aggregate predicted-vs-actual error of one scheduled run, from its
@@ -204,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_history_reads_timing_meta_and_prefers_actual_ms() {
+    fn cost_history_reads_cell_ms_meta() {
         let root = scratch("cost");
         let store = RunStore::new(&root);
         let rows = vec![
@@ -215,22 +163,22 @@ mod tests {
         ];
         let manifest = RunManifest::new("scenario-t", "r1", &rows, 1, false, true).with_meta(vec![
             ("scenario".into(), "t".into()),
-            ("cell_ms:torus:16:1".into(), "2.500".into()),
-            ("cell_ms:torus:64:1".into(), "9.000".into()),
-            // A scheduled run also records actual_ms; it must win.
+            // `cell_ms:` is the one source; `actual_ms:` is not read.
             ("actual_ms:torus:64:1".into(), "8.000".into()),
+            ("cell_ms:torus:64:1".into(), "9.000".into()),
+            ("cell_ms:torus:16:1".into(), "2.500".into()),
             ("cell_ms:not-a-cell".into(), "1.0".into()),
             ("cell_ms:torus:16:bad".into(), "1.0".into()),
         ]);
         store.save(&manifest, &rows).unwrap();
-        let mut samples = cost_history(&store).unwrap();
-        samples.sort_by_key(|s| s.n);
+        // Samples come in canonical cell order, whatever the meta order.
+        let samples = cost_history(&store).unwrap();
         assert_eq!(samples.len(), 2);
         assert_eq!(
             samples[0],
             CostSample { family: "torus".into(), algos: "luby+linial".into(), n: 16, ms: 2.5 }
         );
-        assert_eq!(samples[1].ms, 8.0, "actual_ms must shadow cell_ms");
+        assert_eq!((samples[1].n, samples[1].ms), (64, 9.0));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -252,25 +200,6 @@ mod tests {
         store.save(&manifest, &rows).unwrap();
         assert!(cost_history(&store).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn bench_history_reads_gates_with_wall_times() {
-        let dir = scratch("bench");
-        std::fs::create_dir_all(&dir).unwrap();
-        BenchGate::new("grid_sched", 1.5, 1.7, 1 << 18, "skewed")
-            .with_candidate_ms(260.0)
-            .write_to(&dir)
-            .unwrap();
-        // A legacy gate without a wall time contributes nothing.
-        BenchGate::new("huge_graph", 2.0, 3.2, 1 << 20, "luby:256x").write_to(&dir).unwrap();
-        std::fs::write(dir.join("BENCH_broken.json"), "not json").unwrap();
-        let samples = bench_history(&dir);
-        assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].algos, "bench:grid_sched");
-        assert_eq!((samples[0].n, samples[0].ms), (1 << 18, 260.0));
-        assert!(bench_history(&dir.join("missing")).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

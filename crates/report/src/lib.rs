@@ -30,6 +30,6 @@ mod store;
 
 pub use bench_gate::BenchGate;
 pub use diff::{diff_rows, trend, Delta, TrendPoint};
-pub use history::{bench_history, cost_history, prediction_error, CostSample, PredictionError};
+pub use history::{cost_history, prediction_error, CostSample, PredictionError};
 pub use manifest::{git_rev, utc_timestamp, RowRecord, RunManifest};
 pub use store::{RunStore, StoredRun};

@@ -39,9 +39,9 @@ use lcl_bench::{
 use lcl_core::problems::{MatchingLabel, MisLabel};
 use lcl_graph::ShardedSnapshot;
 use lcl_local::{assigned_ids, map_components, IdAssignment, Network, NodeExecutor, Sequential};
-use lcl_report::{bench_history, cost_history, RunStore};
+use lcl_report::{cost_history, RunStore};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// Experiment id stamped on every scenario row (the run-store directory
@@ -423,12 +423,11 @@ pub fn schedule_for(
 
 /// Plans the placement of work items, `items[j] = (cell, nodes)` — a
 /// shard item is costed like a small cell of the shard's size. The cost
-/// model trains on every run persisted under `opts.out` (their
-/// `cell_ms:`/`actual_ms:` manifest meta via [`cost_history`]) plus any
-/// `BENCH_*.json` wall times under `LCL_BENCH_JSON_DIR` ([`bench_history`]);
-/// items whose `(family, algo-set)` class has no history fall back to the
-/// static degree-weighted estimate [`FamilySpec::cost_weight`] ×
-/// Σ [`AlgoSpec::cost_factor`], calibrated onto the model's scale.
+/// model trains on the `cell_ms:` manifest meta of every run persisted
+/// under `opts.out` ([`cost_history`]); items whose `(family, algo-set)`
+/// class has no history fall back to the static degree-weighted estimate
+/// [`FamilySpec::cost_weight`] × Σ [`AlgoSpec::cost_factor`], calibrated
+/// onto the model's scale. [`build_schedule`] places the items by LPT.
 fn plan_items(
     cells: &[Cell<FamilySpec>],
     items: &[(usize, usize)],
@@ -439,10 +438,7 @@ fn plan_items(
     if opts.has("--no-sched") || !(opts.has("--sched") || runner.is_parallel()) {
         return None;
     }
-    let mut samples = cost_history(&RunStore::new(&opts.out)).unwrap_or_default();
-    if let Some(dir) = std::env::var_os("LCL_BENCH_JSON_DIR") {
-        samples.extend(bench_history(Path::new(&dir)));
-    }
+    let samples = cost_history(&RunStore::new(&opts.out)).unwrap_or_default();
     let algo_set = algos.iter().map(AlgoSpec::slug).collect::<Vec<_>>().join("+");
     let (classes, statics): (Vec<_>, Vec<_>) = items
         .iter()

@@ -71,11 +71,18 @@ fn main() -> ExitCode {
     }
 }
 
-fn build(slug: &str, n: &str, seed: &str) -> Result<Graph, String> {
+/// Parses the `<family-slug> <n> <seed>` arguments of `freeze`,
+/// `roundtrip` and `stream`; an error is a usage error (exit 2).
+fn parse_instance(slug: &str, n: &str, seed: &str) -> Result<(FamilySpec, usize, u64), String> {
     let family =
         FamilySpec::from_slug(slug).ok_or_else(|| format!("unknown family slug `{slug}`"))?;
-    let n: usize = n.parse().map_err(|_| format!("bad n `{n}`"))?;
-    let seed: u64 = seed.parse().map_err(|_| format!("bad seed `{seed}`"))?;
+    let n = n.parse().map_err(|_| format!("bad n `{n}`"))?;
+    let seed = seed.parse().map_err(|_| format!("bad seed `{seed}`"))?;
+    Ok((family, n, seed))
+}
+
+fn build(slug: &str, n: &str, seed: &str) -> Result<Graph, String> {
+    let (family, n, seed) = parse_instance(slug, n, seed)?;
     family.build(n, seed).map_err(|e| e.to_string())
 }
 
@@ -160,11 +167,7 @@ fn cmd_stream(
     max: Option<&str>,
     out: &mut impl Write,
 ) -> io::Result<ExitCode> {
-    let parsed = (|| -> Result<(FamilySpec, usize, u64, usize), String> {
-        let family =
-            FamilySpec::from_slug(slug).ok_or_else(|| format!("unknown family slug `{slug}`"))?;
-        let n: usize = n.parse().map_err(|_| format!("bad n `{n}`"))?;
-        let seed: u64 = seed.parse().map_err(|_| format!("bad seed `{seed}`"))?;
+    let parsed = parse_instance(slug, n, seed).and_then(|(family, n, seed)| {
         let max_shards = match max {
             None => DEFAULT_MAX_SHARDS,
             Some(s) => match s.parse() {
@@ -173,7 +176,7 @@ fn cmd_stream(
             },
         };
         Ok((family, n, seed, max_shards))
-    })();
+    });
     let (family, n, seed, max_shards) = match parsed {
         Ok(p) => p,
         Err(e) => {

@@ -90,6 +90,30 @@ fn stream_publishes_a_store_matching_the_monolithic_freeze() {
 }
 
 #[test]
+fn bad_instance_arguments_are_usage_errors() {
+    let dir = tempdir("usage");
+    let target = dir.join("out").display().to_string();
+    for (slug, n, seed, why) in [
+        ("no-such-family", "64", "1", "unknown family slug `no-such-family`"),
+        ("torus", "sixty-four", "1", "bad n `sixty-four`"),
+        ("torus", "64", "-1", "bad seed `-1`"),
+    ] {
+        for args in [
+            vec!["freeze", slug, n, seed, &target],
+            vec!["roundtrip", slug, n, seed],
+            vec!["stream", slug, n, seed, &target],
+        ] {
+            let out = snapshot(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains(why), "{args:?}: {stderr}");
+        }
+    }
+    assert!(!dir.join("out").exists(), "a usage error wrote output");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn commands_into_a_closed_pipe_exit_cleanly() {
     // The reader is gone before the child starts, so every write to its
     // stdout fails; the command's work is still done.
