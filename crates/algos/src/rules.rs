@@ -8,8 +8,10 @@
 //! the direction of each edge is a function of quantities (`d`, `γ`, the
 //! canonical cycle `f(e)`, identifiers) that a node can compute exactly
 //! from a sufficiently large ball, which is what makes the distributed
-//! simulation in [`crate::sinkless_det`] legal. The consistency argument is
-//! spelled out in DESIGN.md §3.3 and verified by
+//! simulation in [`crate::sinkless_det`] legal. Both endpoints of an edge
+//! see the same quantities, so they agree on its direction; the one
+//! non-obvious step, that both `K*(v)`-edges at a core node select `K*(v)`
+//! itself (case 1 below), is tested by
 //! `fixed_point_property_on_two_triangles_sharing_an_edge` in `lcl-graph`.
 //!
 //! Per-component case analysis:
@@ -31,7 +33,7 @@
 
 use lcl_core::problems::Orient;
 use lcl_core::Labeling;
-use lcl_graph::{CycleSearch, Graph, NodeId, Side};
+use lcl_graph::{Components, CycleSearch, Graph, NodeId, Side};
 use std::collections::VecDeque;
 
 /// Per-node analysis produced alongside the orientation: which rule branch
@@ -91,36 +93,33 @@ pub fn orient_globally(
         }
     }
 
-    let comps = lcl_graph::connected_components(g);
+    let comps = Components::new(g);
     let mut analysis: Vec<NodeAnalysis> =
         vec![NodeAnalysis { dist_to_core: 0, branch: Branch::Forest }; g.node_count()];
     let mut dist: Vec<u32> = vec![u32::MAX; g.node_count()];
     // Per-edge orientation: Some(side) = the side that is the source.
     let mut source: Vec<Option<Side>> = vec![None; g.edge_count()];
 
-    for comp in &comps {
+    for comp in comps.iter() {
         let branch;
-        let core_nodes: Vec<NodeId> =
-            comp.nodes.iter().copied().filter(|v| is_core[v.index()]).collect();
+        let core_nodes: Vec<NodeId> = comp.iter().copied().filter(|v| is_core[v.index()]).collect();
         let core_set: Vec<NodeId> = if !core_nodes.is_empty() {
             branch = Branch::Core;
             core_nodes
         } else {
             // Any cycle at all? The component is acyclic iff |E| = |V| - 1
             // within it (connected).
-            let internal_edges = comp.nodes.iter().map(|&v| g.ports(v).len()).sum::<usize>() / 2;
-            if internal_edges >= comp.nodes.len() {
+            let internal_edges = comp.iter().map(|&v| g.ports(v).len()).sum::<usize>() / 2;
+            if internal_edges >= comp.len() {
                 branch = Branch::LongCycle;
                 // Canonical minimum girth cycle of the component.
                 let girth = comp
-                    .nodes
                     .iter()
                     .flat_map(|&v| g.ports(v).iter().map(|h| h.edge()))
                     .filter_map(|e| search.shortest_len_through_edge(g, e))
                     .min()
                     .expect("cyclic component has a cycle");
                 let k = comp
-                    .nodes
                     .iter()
                     .flat_map(|&v| g.ports(v).iter().map(|h| h.edge()))
                     .filter(|&e| search.shortest_len_through_edge(g, e) == Some(girth))
@@ -138,7 +137,6 @@ pub fn orient_globally(
                 branch = Branch::Forest;
                 // Pseudo-core: the minimum-id node of the component.
                 let root = comp
-                    .nodes
                     .iter()
                     .copied()
                     .min_by_key(|v| ids[v.index()])
@@ -162,7 +160,7 @@ pub fn orient_globally(
                 }
             }
         }
-        for &v in &comp.nodes {
+        for &v in comp {
             analysis[v.index()] = NodeAnalysis { dist_to_core: dist[v.index()], branch };
         }
     }

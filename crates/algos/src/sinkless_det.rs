@@ -28,7 +28,7 @@
 use crate::rules::{orient_globally, NodeAnalysis};
 use lcl_core::problems::Orient;
 use lcl_core::Labeling;
-use lcl_graph::{CycleSearch, NodeId};
+use lcl_graph::{Components, CycleSearch, NodeId};
 use lcl_local::{LocalityTrace, Network, NodeExecutor, Sequential};
 
 /// Tuning knobs for the deterministic algorithm.
@@ -107,11 +107,11 @@ pub fn run_with<X: NodeExecutor>(net: &Network, params: &Params, exec: &X) -> De
     // might exceed it: a cheap per-component eccentricity lower bound
     // (triangle inequality from one anchor BFS) prunes almost every node.
     let mut ecc_lb: Vec<u32> = vec![0; g.node_count()];
-    for comp in lcl_graph::connected_components(g) {
-        let anchor = comp.nodes[0];
+    for comp in Components::new(g).iter() {
+        let anchor = comp[0];
         let d = lcl_graph::bfs_distances(g, anchor);
-        let ecc_anchor = comp.nodes.iter().filter_map(|w| d[w.index()]).max().unwrap_or(0);
-        for &v in &comp.nodes {
+        let ecc_anchor = comp.iter().filter_map(|w| d[w.index()]).max().unwrap_or(0);
+        for &v in comp {
             let dav = d[v.index()].expect("component member reachable");
             ecc_lb[v.index()] = dav.max(ecc_anchor.saturating_sub(dav));
         }

@@ -1,7 +1,7 @@
 //! Randomized sinkless orientation with shattering — the structure behind
 //! the `Θ(log log n)` upper bound (Ghaffari–Su, SODA 2017).
 //!
-//! **Substitution notice** (DESIGN.md §3.3): the published `O(log log n)`
+//! **Substitution notice**: the published `O(log log n)`
 //! algorithm routes through the distributed Lovász Local Lemma. This module
 //! implements the *shattering* scheme that bound is built on:
 //!

@@ -3,7 +3,8 @@
 //! * **cycle enumeration cap** (deterministic sinkless orientation): the
 //!   canonical-cycle rule caps shortest-cycle enumeration at 64; sweep the
 //!   cap and confirm outputs stabilize well below the default and stay
-//!   checker-valid even at tiny caps (DESIGN.md §3.3).
+//!   checker-valid even at tiny caps (both endpoints of an edge truncate
+//!   the same enumeration, so they still agree on its direction).
 //! * **shattering budget** (randomized sinkless orientation): sweep the
 //!   phase-1 round budget and watch the finish radius trade off against
 //!   it; the `Θ(log log n)` default sits at the knee.

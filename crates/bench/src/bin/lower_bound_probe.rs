@@ -2,7 +2,7 @@
 //! locality, must fail — and the ne-LCL checker localizes the failure.
 //!
 //! Lower bounds quantify over all algorithms and cannot be run; this probe
-//! is the operational shadow the reproduction offers (DESIGN.md §3.3):
+//! is the operational shadow the reproduction offers:
 //! sweep a hard radius cap over `[1, measured]` and report the fraction of
 //! nodes that could not decide. The failure cliff sits at `Θ(log n)` for
 //! deterministic sinkless orientation, as the paper's Figure 1 requires.

@@ -1,12 +1,13 @@
 //! Shared experiment harness utilities.
 //!
 //! Each experiment binary (`src/bin/*.rs`) regenerates one figure/theorem
-//! artefact of the paper (see DESIGN.md §4 for the index). Every binary
-//! funnels through one code path — [`Report::finish`] — which renders a
-//! human-readable table (or JSON rows with `--json`) **and** persists the
-//! run to the on-disk store (`results/<experiment>/<run-id>/`, see
-//! `lcl-report`), so each invocation leaves a provenance-stamped record
-//! the `results` CLI can list, diff, and trend.
+//! artefact of the paper, named in its module doc (E1 `landscape`, T11
+//! `hierarchy`, A1 `ablations`, …). Every binary funnels through one code
+//! path — [`Report::finish`] — which renders a human-readable table (or
+//! JSON rows with `--json`) **and** persists the run to the on-disk store
+//! (`results/<experiment>/<run-id>/`, see `lcl-report`), so each
+//! invocation leaves a provenance-stamped record the `results` CLI can
+//! list, diff, and trend.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Structural mutation operators for fuzzing the gadget checker and
-//! verifier (experiments E5/E6): every mutation below turns a valid gadget
-//! into a non-gadget, and Lemma 7/8 completeness demands that some node's
-//! constant-radius check fails.
+//! verifier (the `gadget_verifier` binary and the gadget fuzz tests):
+//! every mutation below turns a valid gadget into a non-gadget, and Lemma
+//! 7/8 completeness demands that some node's constant-radius check fails.
 
 use crate::build::BuiltGadget;
 use crate::labels::{Dir, GadgetIn, NodeKind};

@@ -24,7 +24,8 @@
 //! * [`family`] packages everything as the `(d, Δ)`-gadget family interface
 //!   of Definition 2 with `d = Θ(log)` (Theorem 6);
 //! * [`corrupt`] provides the structural mutation operators used by the
-//!   completeness experiments (E5/E6 in DESIGN.md).
+//!   completeness checks: the `gadget_verifier` binary (E6) and the
+//!   gadget fuzz tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,10 +21,11 @@
 //!   gadget — where the path returns to `u` — no proof exists.
 //!
 //! The full `Ψ_G` used by the padding construction keeps `Ψ`'s
-//! constant-radius checker as its semantic definition (see DESIGN.md §3.4);
-//! this module demonstrates, with tests, that its primitive checks are
-//! expressible in strict node-edge form, which is the content of the
-//! paper's Section 4.6.
+//! constant-radius checker as its semantic definition: carrying these proof
+//! labels through `Π'`'s output alphabet would add labels that no solver or
+//! checker reads. This module demonstrates, with tests, that its primitive
+//! checks are expressible in strict node-edge form, which is the content of
+//! the paper's Section 4.6.
 
 use crate::labels::{Dir, GadgetIn};
 use lcl_core::Labeling;

@@ -20,7 +20,7 @@
 use crate::checks::structure_errors;
 use crate::labels::{Dir, GadgetIn, NodeKind};
 use lcl_core::Labeling;
-use lcl_graph::{Graph, NodeId};
+use lcl_graph::{Components, Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -69,6 +69,40 @@ fn step(g: &Graph, input: &Labeling<GadgetIn>, v: NodeId, dir: Dir) -> Option<No
     g.ports(v).iter().find(|&&h| input.half(h).dir() == Some(dir)).map(|&h| g.half_edge_peer(h))
 }
 
+/// The pointer-successor table of constraints 3a–3f (Section 4.4): may a
+/// node of kind `from` that outputs `→p` point, along its `p`-labelled
+/// half-edge, at a node that outputs `target`?
+///
+/// * 3a `→Right` and 3b `→Left` continue the same way;
+/// * 3c `→Parent` may reach `→Parent`, `→Left`, `→Right` or `→Up`;
+/// * 3d `→RChild` may reach `→RChild`, `→Right` or `→Left`;
+/// * 3e `→Up` from `Index_i` may reach `→Down_j` only for `j ≠ i`;
+/// * 3f `→Down_i` may reach `→RChild`.
+///
+/// Every pointer may also reach `Error`, and none may reach `Ok`. `→LChild`
+/// is never legal: the paper's pointer alphabet omits it.
+#[must_use]
+pub fn pointer_may_target(from: Option<NodeKind>, p: Dir, target: PsiOutput) -> bool {
+    let t = match target {
+        PsiOutput::Ok => return false,
+        PsiOutput::Error => return p != Dir::LChild,
+        PsiOutput::Pointer(t) => t,
+    };
+    match p {
+        Dir::Right => t == Dir::Right,
+        Dir::Left => t == Dir::Left,
+        Dir::Parent => matches!(t, Dir::Parent | Dir::Left | Dir::Right | Dir::Up),
+        Dir::RChild => matches!(t, Dir::RChild | Dir::Right | Dir::Left),
+        Dir::Up => match (from, t) {
+            (Some(NodeKind::Tree { index, .. }), Dir::Down(j)) => j != index,
+            (_, Dir::Down(_)) => true,
+            _ => false,
+        },
+        Dir::Down(_) => t == Dir::RChild,
+        Dir::LChild => false,
+    }
+}
+
 /// Checks a `Ψ` output labeling against the constraints of Section 4.4.
 ///
 /// `delta` is the family's `Δ` (needed by the structure check).
@@ -100,16 +134,13 @@ pub fn check_psi(
     }
 
     // Constraint 4 (the all-or-nothing clause): per component.
-    for comp in lcl_graph::connected_components(g) {
-        let oks = comp.nodes.iter().filter(|v| output[v.index()] == PsiOutput::Ok).count();
+    let comps = Components::new(g);
+    for comp in comps.iter() {
+        let oks = comp.iter().filter(|v| output[v.index()] == PsiOutput::Ok).count();
         if oks != 0 && oks != comp.len() {
             // Attribute to a node on an Ok/error boundary for diagnosis.
-            let witness = comp
-                .nodes
-                .iter()
-                .copied()
-                .find(|v| output[v.index()] == PsiOutput::Ok)
-                .expect("some Ok");
+            let witness =
+                comp.iter().copied().find(|v| output[v.index()] == PsiOutput::Ok).expect("some Ok");
             push(witness, "4: component mixes Ok with error labels".into());
         }
     }
@@ -117,68 +148,22 @@ pub fn check_psi(
     // Constraint 3: pointer chains.
     for v in g.nodes() {
         let PsiOutput::Pointer(p) = output[v.index()] else { continue };
-        let out_of = |w: NodeId| output[w.index()];
-        match p {
-            // 3a: Right → u(Right) ∈ {Error, →Right}.
-            Dir::Right => match step(g, input, v, Dir::Right) {
-                Some(w)
-                    if matches!(out_of(w), PsiOutput::Error | PsiOutput::Pointer(Dir::Right)) => {}
-                Some(w) => push(v, format!("3a: →Right points at {}", out_of(w))),
-                None => push(v, "3a: →Right with no Right edge".into()),
-            },
-            // 3b: Left → u(Left) ∈ {Error, →Left}.
-            Dir::Left => match step(g, input, v, Dir::Left) {
-                Some(w)
-                    if matches!(out_of(w), PsiOutput::Error | PsiOutput::Pointer(Dir::Left)) => {}
-                Some(w) => push(v, format!("3b: →Left points at {}", out_of(w))),
-                None => push(v, "3b: →Left with no Left edge".into()),
-            },
-            // 3c: Parent → u(Parent) ∈ {Error, →Parent, →Left, →Right, →Up}.
-            Dir::Parent => match step(g, input, v, Dir::Parent) {
-                Some(w)
-                    if matches!(
-                        out_of(w),
-                        PsiOutput::Error
-                            | PsiOutput::Pointer(Dir::Parent | Dir::Left | Dir::Right | Dir::Up)
-                    ) => {}
-                Some(w) => push(v, format!("3c: →Parent points at {}", out_of(w))),
-                None => push(v, "3c: →Parent with no Parent edge".into()),
-            },
-            // 3d: RChild → u(RChild) ∈ {Error, →RChild, →Right, →Left}.
-            Dir::RChild => match step(g, input, v, Dir::RChild) {
-                Some(w)
-                    if matches!(
-                        out_of(w),
-                        PsiOutput::Error | PsiOutput::Pointer(Dir::RChild | Dir::Right | Dir::Left)
-                    ) => {}
-                Some(w) => push(v, format!("3d: →RChild points at {}", out_of(w))),
-                None => push(v, "3d: →RChild with no RChild edge".into()),
-            },
-            // 3e: Up (node labeled Index_i) → u(Up) ∈ {Error, →Down_j}, j≠i.
-            Dir::Up => {
-                let my_index = match input.node(v).kind() {
-                    Some(NodeKind::Tree { index, .. }) => Some(index),
-                    _ => None,
-                };
-                match step(g, input, v, Dir::Up) {
-                    Some(w) => match out_of(w) {
-                        PsiOutput::Error => {}
-                        PsiOutput::Pointer(Dir::Down(j)) if Some(j) != my_index => {}
-                        other => push(v, format!("3e: →Up points at {other}")),
-                    },
-                    None => push(v, "3e: →Up with no Up edge".into()),
-                }
+        let clause = match p {
+            Dir::Right => "3a",
+            Dir::Left => "3b",
+            Dir::Parent => "3c",
+            Dir::RChild => "3d",
+            Dir::Up => "3e",
+            Dir::Down(_) => "3f",
+            Dir::LChild => {
+                push(v, "3: →LChild is not a legal error pointer".into());
+                continue;
             }
-            // 3f: Down_i → u(Down_i) ∈ {Error, →RChild}.
-            Dir::Down(i) => match step(g, input, v, Dir::Down(i)) {
-                Some(w)
-                    if matches!(out_of(w), PsiOutput::Error | PsiOutput::Pointer(Dir::RChild)) => {}
-                Some(w) => push(v, format!("3f: →Down{i} points at {}", out_of(w))),
-                None => push(v, format!("3f: →Down{i} with no Down{i} edge")),
-            },
-            // LChild is not a legal pointer (Section 4.4 lists the pointer
-            // alphabet without it).
-            Dir::LChild => push(v, "3: →LChild is not a legal error pointer".into()),
+        };
+        match step(g, input, v, p) {
+            Some(w) if pointer_may_target(input.node(v).kind(), p, output[w.index()]) => {}
+            Some(w) => push(v, format!("{clause}: →{p} points at {}", output[w.index()])),
+            None => push(v, format!("{clause}: →{p} with no {p} edge")),
         }
     }
 

@@ -25,7 +25,7 @@ use crate::checks::structure_errors;
 use crate::labels::{Dir, GadgetIn};
 use crate::psi::PsiOutput;
 use lcl_core::Labeling;
-use lcl_graph::{EccentricityKernel, Graph, NodeId};
+use lcl_graph::{Components, EccentricityKernel, Graph, NodeId};
 use lcl_local::LocalityTrace;
 
 /// Result of running algorithm `V`.
@@ -183,28 +183,28 @@ pub fn run_verifier(
 ) -> VerifierOutcome {
     let err = structure_errors(g, input, delta);
     let r_bound = gather_bound(known_n);
-    let comps = lcl_graph::connected_components(g);
+    let comps = Components::new(g);
     let mut output = vec![PsiOutput::Ok; g.node_count()];
     let mut radii = vec![0u32; g.node_count()];
     let mut kernel = EccentricityKernel::default();
     let mut stamps = Stamps::new(g.node_count());
 
-    for comp in &comps {
-        let has_err = comp.nodes.iter().any(|v| err[v.index()]);
+    for comp in comps.iter() {
+        let has_err = comp.iter().any(|v| err[v.index()]);
         // Honest radius: min(R, eccentricity within the component) —
         // exact per node on small components, a conservative (never
         // under-reported) triangle-inequality upper bound on large ones:
         // ecc(v) ≤ d(anchor, v) + ecc(anchor).
-        if comp.nodes.len() <= 2048 {
-            kernel.component(g, &comp.nodes, &mut radii);
-            for &v in &comp.nodes {
+        if comp.len() <= 2048 {
+            kernel.component(g, comp, &mut radii);
+            for &v in comp {
                 radii[v.index()] = r_bound.min(radii[v.index()]);
             }
         } else {
-            let anchor = comp.nodes[0];
+            let anchor = comp[0];
             let d = lcl_graph::bfs_distances(g, anchor);
-            let ecc_anchor = comp.nodes.iter().filter_map(|w| d[w.index()]).max().unwrap_or(0);
-            for &v in &comp.nodes {
+            let ecc_anchor = comp.iter().filter_map(|w| d[w.index()]).max().unwrap_or(0);
+            for &v in comp {
                 let bound = d[v.index()].unwrap_or(0) + ecc_anchor;
                 radii[v.index()] = r_bound.min(bound);
             }
@@ -212,7 +212,7 @@ pub fn run_verifier(
         if !has_err {
             continue; // all Ok
         }
-        for &v in &comp.nodes {
+        for &v in comp {
             output[v.index()] = decide(g, input, &err, v, &mut stamps);
         }
     }

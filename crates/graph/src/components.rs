@@ -1,10 +1,11 @@
-//! Flat connected-component index for shard-level scheduling.
+//! The connected-component partition, in one flat index.
 //!
-//! [`crate::connected_components`] returns one `Vec` per component — fine
-//! for tests, wasteful at huge-graph scale. [`Components`] computes the
-//! same partition into three flat arrays (the CSR-of-components shape):
-//! a per-node component stamp, a flat member list grouped by component,
-//! and per-component offsets into it. The stamp table doubles as the BFS
+//! [`Components`] is the crate's one component partition: the gadget
+//! verifier, the sinkless-orientation rules and the component-sharded
+//! engine all read it. It stores the partition in three flat arrays (the
+//! CSR-of-components shape) instead of one `Vec` per component: a per-node
+//! component stamp, a flat member list grouped by component, and
+//! per-component offsets into it. The stamp table doubles as the BFS
 //! "seen" scratch (a node is visited iff its stamp is set — the stamped-
 //! scratch idiom the ball cache uses), and the member list doubles as
 //! the BFS queue, so the whole pass is `O(n + m)` with exactly three
@@ -184,7 +185,32 @@ impl Components {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{connected_components, gen};
+    use crate::gen;
+    use std::collections::VecDeque;
+
+    /// An independent reference: one `Vec` per component, nodes appended
+    /// as a FIFO queue pops them, components by smallest node id.
+    fn reference_partition(g: &Graph) -> Vec<Vec<NodeId>> {
+        let mut seen = vec![false; g.node_count()];
+        let mut out = Vec::new();
+        for s in g.nodes() {
+            if seen[s.index()] {
+                continue;
+            }
+            seen[s.index()] = true;
+            let (mut nodes, mut queue) = (Vec::new(), VecDeque::from([s]));
+            while let Some(v) = queue.pop_front() {
+                nodes.push(v);
+                for (w, _) in g.neighbors(v) {
+                    if !std::mem::replace(&mut seen[w.index()], true) {
+                        queue.push_back(w);
+                    }
+                }
+            }
+            out.push(nodes);
+        }
+        out
+    }
 
     #[test]
     fn empty_graph_has_no_components() {
@@ -224,11 +250,11 @@ mod tests {
         }];
         for g in shapes {
             let flat = Components::new(&g);
-            let nested = connected_components(&g);
+            let nested = reference_partition(&g);
             assert_eq!(flat.count(), nested.len());
             for (c, comp) in nested.iter().enumerate() {
-                assert_eq!(flat.members(c), comp.nodes.as_slice());
-                for &v in &comp.nodes {
+                assert_eq!(flat.members(c), comp.as_slice());
+                for &v in comp {
                     assert_eq!(flat.component_of(v), c);
                 }
             }

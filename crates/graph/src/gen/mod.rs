@@ -596,14 +596,14 @@ pub fn pods(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{connected_components, girth};
+    use crate::{girth, Components};
 
     #[test]
     fn regular_tree_degrees_and_shape() {
         let g = regular_tree(3, 22);
         assert_eq!(g.node_count(), 22);
         assert_eq!(g.edge_count(), 21); // connected tree
-        assert_eq!(connected_components(&g).len(), 1);
+        assert_eq!(Components::new(&g).count(), 1);
         assert_eq!(g.max_degree(), 3);
         // Every node is a leaf (degree 1) or internal of degree exactly 3.
         assert!(g.nodes().all(|v| g.degree(v) == 1 || g.degree(v) == 3));
@@ -707,7 +707,7 @@ mod tests {
     fn disjoint_cycles_components() {
         let g = disjoint_cycles(3, 5);
         assert_eq!(g.node_count(), 15);
-        assert_eq!(connected_components(&g).len(), 3);
+        assert_eq!(Components::new(&g).count(), 3);
     }
 
     #[test]
@@ -719,7 +719,7 @@ mod tests {
             assert_eq!(g.degree(v), 8);
         }
         // Connected for m ≥ 2 (expander).
-        assert_eq!(connected_components(&g).len(), 1);
+        assert_eq!(Components::new(&g).count(), 1);
     }
 
     #[test]
@@ -739,7 +739,7 @@ mod tests {
     fn random_tree_is_acyclic_connected() {
         let g = random_tree(30, 9);
         assert_eq!(g.edge_count(), 29);
-        assert_eq!(connected_components(&g).len(), 1);
+        assert_eq!(Components::new(&g).count(), 1);
         assert_eq!(girth(&g), None);
     }
 
@@ -783,7 +783,7 @@ mod tests {
         assert_eq!(g.min_degree(), 4);
         assert_eq!(g.max_degree(), 4);
         assert!(!g.has_multi_edges_or_loops());
-        assert_eq!(connected_components(&g).len(), 1);
+        assert_eq!(Components::new(&g).count(), 1);
         assert_eq!(girth(&g), Some(4));
         // Q_1 is a single edge.
         assert_eq!(hypercube(1).edge_count(), 1);
@@ -794,7 +794,7 @@ mod tests {
         let g = caterpillar(10, 15, 3);
         assert_eq!(g.node_count(), 25);
         assert_eq!(g.edge_count(), 24);
-        assert_eq!(connected_components(&g).len(), 1);
+        assert_eq!(Components::new(&g).count(), 1);
         assert_eq!(girth(&g), None);
         // Every leaf (ids >= spine) has degree exactly 1.
         for i in 10..25 {

@@ -65,4 +65,4 @@ pub use shard_store::{
 };
 pub use sink::GraphSink;
 pub use snapshot::{snapshot_header, SnapshotHeader};
-pub use traversal::{bfs_distances, bfs_distances_capped, connected_components, Component};
+pub use traversal::{bfs_distances, bfs_distances_capped};

@@ -1,4 +1,4 @@
-//! Breadth-first traversal utilities: distances, components.
+//! Breadth-first traversal utilities: distances.
 
 use crate::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -34,56 +34,6 @@ pub fn bfs_distances_capped(g: &Graph, source: NodeId, cap: u32) -> Vec<Option<u
     dist
 }
 
-/// A connected component: its nodes, in BFS discovery order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Component {
-    /// Nodes of the component in discovery order (the first is the
-    /// smallest-id node of the component).
-    pub nodes: Vec<NodeId>,
-}
-
-impl Component {
-    /// Number of nodes in the component.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the component is empty (never produced by
-    /// [`connected_components`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-}
-
-/// All connected components, ordered by their smallest node id.
-#[must_use]
-pub fn connected_components(g: &Graph) -> Vec<Component> {
-    let mut seen = vec![false; g.node_count()];
-    let mut out = Vec::new();
-    for s in g.nodes() {
-        if seen[s.index()] {
-            continue;
-        }
-        let mut nodes = Vec::new();
-        let mut queue = VecDeque::new();
-        seen[s.index()] = true;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            nodes.push(v);
-            for (w, _) in g.neighbors(v) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-        out.push(Component { nodes });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,18 +67,5 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(1));
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d, vec![Some(0), Some(1), Some(2)]);
-    }
-
-    #[test]
-    fn components_of_disjoint_union() {
-        let mut g = gen::cycle(3);
-        g.append(&gen::path(2));
-        g.add_node();
-        let comps = connected_components(&g);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0].len(), 3);
-        assert_eq!(comps[1].len(), 2);
-        assert_eq!(comps[2].len(), 1);
-        assert!(!comps[2].is_empty());
     }
 }

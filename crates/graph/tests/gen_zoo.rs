@@ -6,7 +6,7 @@
 //! by `content_hash`.
 
 use lcl_graph::gen;
-use lcl_graph::{connected_components, girth, Graph, NodeId};
+use lcl_graph::{girth, Components, Graph, NodeId};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -50,7 +50,7 @@ proptest! {
         prop_assert_eq!(g.min_degree(), dim as usize);
         prop_assert_eq!(g.max_degree(), dim as usize);
         prop_assert!(!g.has_multi_edges_or_loops());
-        prop_assert_eq!(connected_components(&g).len(), 1);
+        prop_assert_eq!(Components::new(&g).count(), 1);
         // Bipartite with 4-cycles from dim >= 2 (girth exactly 4).
         if dim >= 2 {
             prop_assert_eq!(girth(&g), Some(4));
@@ -68,7 +68,7 @@ proptest! {
         // A connected acyclic graph: exactly n-1 edges, one component, no
         // cycle.
         prop_assert_eq!(g.edge_count(), n - 1);
-        prop_assert_eq!(connected_components(&g).len(), 1);
+        prop_assert_eq!(Components::new(&g).count(), 1);
         prop_assert_eq!(girth(&g), None);
         prop_assert!(!g.has_multi_edges_or_loops());
         // Leaves really are leaves; removing them leaves the spine path.
@@ -103,7 +103,7 @@ proptest! {
         // Lifts of simple bases are simple.
         prop_assert!(!g.has_multi_edges_or_loops());
         // At most k components (each permutation orbit spans fibers).
-        prop_assert!(connected_components(&g).len() <= k);
+        prop_assert!(Components::new(&g).count() <= k);
         assert_handshake(&g);
         prop_assert_eq!(&g, &gen::random_lift(&base, k, seed));
     }
@@ -150,7 +150,7 @@ proptest! {
         prop_assert!(g.max_degree() <= pod_size - 1 + extra);
         // Connectivity: the cross ring joins everything; without it every
         // pod is its own component.
-        let comps = connected_components(&g).len();
+        let comps = Components::new(&g).count();
         if pods == 1 || cross_links >= 1 {
             prop_assert_eq!(comps, 1);
         } else {
@@ -175,7 +175,7 @@ proptest! {
         prop_assert_eq!(g.min_degree(), 4);
         prop_assert_eq!(g.max_degree(), 4);
         prop_assert!(!g.has_multi_edges_or_loops());
-        prop_assert_eq!(connected_components(&g).len(), 1);
+        prop_assert_eq!(Components::new(&g).count(), 1);
         assert_handshake(&g);
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests for the graph substrate's core invariants.
 
 use lcl_graph::{
-    bfs_distances, connected_components, diameter, distance_k_coloring, eccentricities, gen, girth,
-    is_distance_k_coloring, Ball, CanonicalCycle, CycleSearch, EccentricityKernel, EdgeId, Graph,
-    NodeId,
+    bfs_distances, diameter, distance_k_coloring, eccentricities, gen, girth,
+    is_distance_k_coloring, Ball, CanonicalCycle, Components, CycleSearch, EccentricityKernel,
+    EdgeId, Graph, NodeId,
 };
 use proptest::prelude::*;
 
@@ -117,15 +117,19 @@ proptest! {
 
     #[test]
     fn components_partition_the_nodes(g in arb_multigraph()) {
-        let comps = connected_components(&g);
-        let total: usize = comps.iter().map(|c| c.len()).sum();
+        let comps = Components::new(&g);
+        let total: usize = comps.iter().map(<[NodeId]>::len).sum();
         prop_assert_eq!(total, g.node_count());
         let mut seen = vec![false; g.node_count()];
-        for c in &comps {
-            for &v in &c.nodes {
+        for c in comps.iter() {
+            for &v in c {
                 prop_assert!(!seen[v.index()], "node in two components");
                 seen[v.index()] = true;
             }
+        }
+        for e in g.edges() {
+            let [a, b] = g.endpoints(e);
+            prop_assert_eq!(comps.component_of(a), comps.component_of(b), "edge crosses components");
         }
     }
 

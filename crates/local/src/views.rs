@@ -220,8 +220,9 @@ pub fn run_views<A: ViewAlgorithm>(net: &Network, alg: &A, seed: u64) -> ViewOut
 
 /// Runs a view algorithm with a hard radius cap. Nodes that would need a
 /// larger view give up (`None`) — this is the primitive behind the
-/// lower-bound probes (DESIGN.md L1): capping a correct algorithm below its
-/// required locality must produce constraint violations.
+/// lower-bound probes (L1, `lower_bound_probe`): capping a correct
+/// algorithm below its required locality must produce constraint
+/// violations.
 pub fn run_views_capped<A: ViewAlgorithm>(
     net: &Network,
     alg: &A,

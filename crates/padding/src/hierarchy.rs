@@ -120,6 +120,7 @@ mod tests {
     use crate::hard::hard_pi2_instance;
     use crate::lifted::check_padded;
     use crate::problem::InnerProblem;
+    use lcl_core::{NeLcl, NodeView};
     use lcl_local::IdAssignment;
 
     #[test]
@@ -166,10 +167,18 @@ mod tests {
     #[test]
     fn pi2_filler_roundtrip() {
         // The level-2 problem can act as an inner problem: its fillers
-        // satisfy its own degree-0 node configuration (needed at level 3).
+        // satisfy its own degree-0 node constraint (needed at level 3).
         let p = pi2(3);
-        let f_in = p.filler_in();
-        let f_out = p.filler_out();
-        assert!(p.check_node_config(&f_in, &f_out, &[], &[]).is_ok());
+        let (f_in, f_out) = (p.filler_in(), p.filler_out());
+        let view = NodeView {
+            degree: 0,
+            node_in: &f_in,
+            node_out: &f_out,
+            edges_in: &[],
+            edges_out: &[],
+            halves_in: &[],
+            halves_out: &[],
+        };
+        assert!(p.check_node(&view).is_ok());
     }
 }

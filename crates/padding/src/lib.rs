@@ -4,15 +4,17 @@
 //! new problem `Π'` whose deterministic and randomized complexities are
 //! both multiplied by `Θ(d(n))` (Theorem 1). This crate implements:
 //!
-//! * [`problem`]: the inner-problem interface ([`problem::InnerProblem`])
-//!   that feeds the construction, implemented for sinkless orientation and
+//! * [`problem`]: the inner-problem interface ([`problem::InnerProblem`]),
+//!   an ne-LCL plus filler labels, implemented for sinkless orientation and
 //!   for padded problems themselves (enabling the recursion of Section 5);
 //! * [`padded`]: padded graphs `G(G)` (Definition 3, Figure 2) — every
 //!   node of a base graph replaced by a gadget, base edges becoming
 //!   `PortEdge`s between gadget ports;
 //! * [`lifted`]: the problem `Π'` (Section 3.3) — its input/output label
-//!   structure (`Σ_list`, port flags, the `Ψ_G` layer) and the checker for
-//!   constraints 1–6, including the port mapping `α` of Figure 4;
+//!   structure (`Σ_list`, port flags, the `Ψ_G` layer), its constraints 1
+//!   and 3–6 as one ne-LCL (`impl NeLcl for PaddedProblem`, with the port
+//!   mapping `α` of Figure 4), and [`check_padded`], which adds constraint
+//!   2 on each gadget component;
 //! * [`solver`]: the upper-bound algorithm of Lemma 4 — verify gadgets,
 //!   flag ports, contract valid gadgets into a virtual graph, simulate the
 //!   inner algorithm there, and write the solution back into `Σ_list`;

@@ -1,7 +1,21 @@
 //! The problem `Π'` of Section 3.3 and its checker (constraints 1–6).
+//!
+//! Constraints 1 and 3–6 are node and edge constraints, and
+//! `impl NeLcl for PaddedProblem` is their one implementation.
+//! [`check_padded`] runs it through [`lcl_core::check`] and adds
+//! constraint 2, the gadget layer `Ψ_G`, on each gadget component: `Ψ_G`'s
+//! structure checks look beyond radius 1, so they are not node-edge
+//! constraints as written (Section 4.6 shows how to make them so with
+//! extra proof labels, which `lcl_gadget::ne` demonstrates). Only `Ψ`'s
+//! pointer rule is edge-local, and the edge constraint applies it too.
+//!
+//! Because `Π'` is an ne-LCL with fillers, it is itself an
+//! [`InnerProblem`]: the checker of `pad(Π', G)` evaluates constraints 5d
+//! and 6 through this same code (Section 5).
 
 use crate::problem::InnerProblem;
-use lcl_core::{Labeling, Violation};
+use lcl_core::{EdgeView, Labeling, NeLcl, NodeView, Violation};
+use lcl_gadget::psi::pointer_may_target;
 use lcl_gadget::{check_psi, GadgetIn, LogGadgetFamily, NodeKind, PsiOutput};
 use lcl_graph::{Graph, HalfEdge, NodeId, Side};
 
@@ -17,6 +31,20 @@ pub struct PadIn<I> {
     pub gadget: Option<GadgetIn>,
     /// The `{PortEdge, GadEdge}` tag (edges and halves; `false` on nodes).
     pub port_edge: bool,
+}
+
+impl<I> PadIn<I> {
+    /// The `Port_i` decoder: `Some(i - 1)` if this labels a `Port_i` node
+    /// of a family with the given `Δ` (`1 ≤ i ≤ Δ`), else `None` (a
+    /// `NoPort` node, or not a node label).
+    pub(crate) fn port(&self, delta: usize) -> Option<usize> {
+        match self.gadget {
+            Some(GadgetIn::Node { kind: NodeKind::Tree { index, port: true }, .. }) => {
+                usize::from(index).checked_sub(1).filter(|&i| i < delta)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// The `{PortErr1, PortErr2, NoPortErr}` component of a node output.
@@ -80,6 +108,12 @@ impl<I: Clone, O: Clone> SigmaList<I, O> {
     #[must_use]
     pub fn alpha(&self) -> Vec<usize> {
         self.s.iter().enumerate().filter_map(|(i, &m)| m.then_some(i)).collect()
+    }
+
+    /// True if `S` and the four per-port vectors all have `delta` entries.
+    fn has_arity(&self, delta: usize) -> bool {
+        [self.s.len(), self.iota_e.len(), self.iota_b.len(), self.o_e.len(), self.o_b.len()]
+            == [delta; 5]
     }
 }
 
@@ -245,46 +279,14 @@ pub(crate) fn gadget_components<I: Clone + std::fmt::Debug>(
     (comps, comp_of)
 }
 
-/// Extracts each node's output payload; malformed node outputs are
-/// reported and replaced by an `Error`-psi filler.
-fn node_outputs<'a, P: InnerProblem>(
-    prob: &PaddedProblem<P>,
-    g: &Graph,
-    output: &'a Labeling<PadOut<P::In, P::Out>>,
-    violations: &mut Vec<Violation>,
-) -> Vec<std::borrow::Cow<'a, PadNodeOut<P::In, P::Out>>> {
-    use std::borrow::Cow;
-    g.nodes()
-        .map(|v| match output.node(v) {
-            PadOut::Node(n) => Cow::Borrowed(n.as_ref()),
-            other => {
-                violations.push(Violation::Node(
-                    v,
-                    format!("output: node carries {other:?}, expected a node payload"),
-                ));
-                Cow::Owned(PadNodeOut {
-                    list: SigmaList::filler(&prob.inner, prob.delta()),
-                    flag: PortFlag::NoPortErr,
-                    psi: PsiOutput::Error,
-                })
-            }
-        })
-        .collect()
-}
-
-/// The input port index (0-based) of a node, if it carries `Port_i`.
-fn input_port<I>(input: &Labeling<PadIn<I>>, v: NodeId) -> Option<usize> {
-    match input.node(v).gadget {
-        Some(GadgetIn::Node { kind: NodeKind::Tree { index, port: true }, .. }) => {
-            Some(usize::from(index) - 1)
-        }
-        _ => None,
-    }
-}
-
-/// Checks a `Π'` output against constraints 1–6 of Section 3.3.
+/// Checks a `Π'` output against constraints 1–6 of Section 3.3:
+/// constraint 2 (`Ψ_G` on every gadget component), then the node and edge
+/// constraints 1 and 3–6 through [`lcl_core::check`].
+///
+/// # Panics
+///
+/// Panics if a labeling does not fit `g`.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn check_padded<P: InnerProblem>(
     prob: &PaddedProblem<P>,
     g: &Graph,
@@ -292,373 +294,194 @@ pub fn check_padded<P: InnerProblem>(
     output: &Labeling<PadOut<P::In, P::Out>>,
 ) -> Vec<Violation> {
     assert!(input.fits(g) && output.fits(g), "labelings must fit the graph");
-    let delta = prob.delta();
     let mut violations = Vec::new();
-
-    // Constraint 1: ϵ exactly on PortEdges and their halves; the Σ^G_out
-    // placeholder on GadEdges and their halves.
-    for e in g.edges() {
-        let want_eps = input.edge(e).port_edge;
-        let ok_edge =
-            matches!((want_eps, output.edge(e)), (true, PadOut::Eps) | (false, PadOut::GadPad));
-        if !ok_edge {
-            violations.push(Violation::Edge(
-                e,
-                format!(
-                    "1: edge output {:?} mismatches its {} tag",
-                    output.edge(e),
-                    if want_eps { "PortEdge" } else { "GadEdge" }
-                ),
-            ));
-        }
-        for side in [Side::A, Side::B] {
-            let h = HalfEdge::new(e, side);
-            let ok_half =
-                matches!((want_eps, output.half(h)), (true, PadOut::Eps) | (false, PadOut::GadPad));
-            if !ok_half {
-                violations.push(Violation::Edge(e, "1: half-edge output mismatch".into()));
-            }
-        }
-    }
-
-    let outs = node_outputs(prob, g, output, &mut violations);
-    let (comps, _comp_of) = gadget_components(g, input, &mut violations);
-
-    // Constraint 2: Ψ_G solved correctly on every gadget component.
+    let (comps, _) = gadget_components(g, input, &mut violations);
     for comp in &comps {
-        let psi: Vec<PsiOutput> = comp.nodes.iter().map(|v| outs[v.index()].psi).collect();
-        for viol in check_psi(&comp.sub, &comp.sub_input, &psi, delta) {
+        // A node without a node payload counts as `Error` here; the node
+        // constraint reports the payload itself.
+        let psi: Vec<PsiOutput> = comp
+            .nodes
+            .iter()
+            .map(|&v| output.node(v).node().map_or(PsiOutput::Error, |o| o.psi))
+            .collect();
+        for viol in check_psi(&comp.sub, &comp.sub_input, &psi, prob.delta()) {
             violations.push(Violation::Node(
                 comp.nodes[viol.node.index()],
                 format!("2 (Ψ_G): {}", viol.why),
             ));
         }
     }
-
-    // Constraints 3 and 4: port flags.
-    let port_edge_count: Vec<usize> = g
-        .nodes()
-        .map(|v| g.ports(v).iter().filter(|h| input.edge(h.edge()).port_edge).count())
-        .collect();
-    for v in g.nodes() {
-        let is_port = input_port(input, v).is_some();
-        let should_err2 = is_port && port_edge_count[v.index()] != 1;
-        let flag = outs[v.index()].flag;
-        if should_err2 != (flag == PortFlag::PortErr2) {
-            violations.push(Violation::Node(
-                v,
-                format!(
-                    "3: flag {flag:?} with {} incident PortEdges (port: {is_port})",
-                    port_edge_count[v.index()]
-                ),
-            ));
-        }
-    }
-    for e in g.edges() {
-        if !input.edge(e).port_edge {
-            continue;
-        }
-        let [u, v] = g.endpoints(e);
-        let (pu, pv) = (input_port(input, u), input_port(input, v));
-        let (ou, ov) = (&outs[u.index()], &outs[v.index()]);
-        // 4(i): both ports, both GadOk ⇒ neither flag may be PortErr1.
-        if pu.is_some() && pv.is_some() && ou.psi == PsiOutput::Ok && ov.psi == PsiOutput::Ok {
-            for (w, o) in [(u, ou), (v, ov)] {
-                if o.flag == PortFlag::PortErr1 {
-                    violations.push(Violation::Node(w, "4: PortErr1 on a good port pair".into()));
-                }
-            }
-        }
-        // 4(ii): a port whose edge touches NoPort or L_Err may not claim
-        // NoPortErr.
-        for ((pw, w, ow), (px, ox)) in [((pu, u, ou), (pv, ov)), ((pv, v, ov), (pu, ou))] {
-            if pw.is_some()
-                && (px.is_none() || ow.psi.is_error_label() || ox.psi.is_error_label())
-                && ow.flag == PortFlag::NoPortErr
-            {
-                violations.push(Violation::Node(
-                    w,
-                    "4: NoPortErr on a port wired to NoPort or an erroneous gadget".into(),
-                ));
-            }
-        }
-    }
-
-    // Constraint 5: per-node Σ_list conditions (escaped by L_Err).
-    for v in g.nodes() {
-        let o = &outs[v.index()];
-        if o.psi.is_error_label() {
-            continue;
-        }
-        let list = &o.list;
-        if list.s.len() != delta
-            || list.iota_e.len() != delta
-            || list.iota_b.len() != delta
-            || list.o_e.len() != delta
-            || list.o_b.len() != delta
-        {
-            violations.push(Violation::Node(v, "5: Σ_list has wrong arity".into()));
-            continue;
-        }
-        if let Some(i) = input_port(input, v) {
-            // 5a: Port_i ∈ S ⟺ flag = NoPortErr.
-            if list.s[i] != (o.flag == PortFlag::NoPortErr) {
-                violations.push(Violation::Node(
-                    v,
-                    format!("5a: S[{i}] = {} but flag = {:?}", list.s[i], o.flag),
-                ));
-            }
-            // 5b: the Port_1 node pins the virtual node's input.
-            if i == 0 && list.iota_v != input.node(v).pi {
-                violations.push(Violation::Node(
-                    v,
-                    "5b: ι^V differs from the Port_1 node's Π-input".into(),
-                ));
-            }
-            // 5c: in-S ports copy their PortEdge's Π-inputs.
-            if list.s[i] {
-                for &h in g.ports(v) {
-                    if !input.edge(h.edge()).port_edge {
-                        continue;
-                    }
-                    if list.iota_e[i] != input.edge(h.edge()).pi {
-                        violations.push(Violation::Node(
-                            v,
-                            format!("5c: ι^E_{i} differs from the PortEdge input"),
-                        ));
-                    }
-                    if list.iota_b[i] != input.half(h).pi {
-                        violations.push(Violation::Node(
-                            v,
-                            format!("5c: ι^B_{i} differs from the half-edge input"),
-                        ));
-                    }
-                }
-            }
-        }
-        // 5d: the hypothetical virtual node satisfies C_N^Π.
-        let alpha = list.alpha();
-        let edges: Vec<(P::In, P::Out)> =
-            alpha.iter().map(|&k| (list.iota_e[k].clone(), list.o_e[k].clone())).collect();
-        let halves: Vec<(P::In, P::Out)> =
-            alpha.iter().map(|&k| (list.iota_b[k].clone(), list.o_b[k].clone())).collect();
-        if let Err(why) = prob.inner.check_node_config(&list.iota_v, &list.o_v, &edges, &halves) {
-            violations.push(Violation::Node(v, format!("5d (C_N^Π): {why}")));
-        }
-    }
-
-    // Constraint 6: per-edge conditions.
-    for e in g.edges() {
-        let [u, v] = g.endpoints(e);
-        let (ou, ov) = (&outs[u.index()], &outs[v.index()]);
-        if ou.psi.is_error_label() || ov.psi.is_error_label() {
-            continue;
-        }
-        if !input.edge(e).port_edge {
-            // 6 (GadEdge): the whole gadget agrees on Σ_list.
-            if ou.list != ov.list {
-                violations.push(Violation::Edge(e, "6: Σ_list differs across a GadEdge".into()));
-            }
-            continue;
-        }
-        // 6 (PortEdge): virtual edge constraint for in-S port pairs.
-        let (Some(i), Some(j)) = (input_port(input, u), input_port(input, v)) else {
-            continue;
-        };
-        let (lu, lv) = (&ou.list, &ov.list);
-        if lu.s.len() != prob.delta() || lv.s.len() != prob.delta() {
-            continue; // arity violation already recorded under 5
-        }
-        if !(lu.s[i] && lv.s[j]) {
-            continue;
-        }
-        if lu.iota_e[i] != lv.iota_e[j] {
-            violations.push(Violation::Edge(e, "6: ι^E entries disagree".into()));
-        }
-        if lu.o_e[i] != lv.o_e[j] {
-            violations.push(Violation::Edge(e, "6: o^E entries disagree".into()));
-        }
-        if let Err(why) = prob.inner.check_edge_config(
-            [&lu.iota_v, &lv.iota_v],
-            [&lu.o_v, &lv.o_v],
-            &lu.iota_e[i],
-            &lu.o_e[i],
-            [&lu.iota_b[i], &lv.iota_b[j]],
-            [&lu.o_b[i], &lv.o_b[j]],
-        ) {
-            violations.push(Violation::Edge(e, format!("6 (C_E^Π): {why}")));
-        }
-    }
-
+    violations.extend(lcl_core::check(prob, g, input, output).violations);
     violations
 }
 
-// ---------------------------------------------------------------------
-// Padded problems are themselves inner problems (Section 5 recursion).
-// ---------------------------------------------------------------------
+/// The entries of `v` at the ports `α` selects, in rank order.
+fn select<'a, T>(alpha: &[usize], v: &'a [T]) -> Vec<&'a T> {
+    alpha.iter().map(|&k| &v[k]).collect()
+}
 
-impl<P: InnerProblem> InnerProblem for PaddedProblem<P> {
+/// Constraints 1 and 3–6 of Section 3.3. The node constraint holds 3 and
+/// 5; the edge constraint holds 1, 4 and 6, and `Ψ`'s pointer rule along
+/// `GadEdge`s. Constraints 5 and 6 are escaped when an endpoint outputs an
+/// error label (`L_Err`).
+impl<P: InnerProblem> NeLcl for PaddedProblem<P> {
     type In = PadIn<P::In>;
     type Out = PadOut<P::In, P::Out>;
 
-    fn check_instance(
-        &self,
-        g: &Graph,
-        input: &Labeling<Self::In>,
-        output: &Labeling<Self::Out>,
-    ) -> Vec<Violation> {
-        check_padded(self, g, input, output)
-    }
-
-    fn check_node_config(
-        &self,
-        node_in: &Self::In,
-        node_out: &Self::Out,
-        edges: &[(Self::In, Self::Out)],
-        halves: &[(Self::In, Self::Out)],
-    ) -> Result<(), String> {
-        // The per-node slice of constraints 1/3/5. The gadget-structure
-        // part of constraint 2 needs radius > 1 and is not evaluable on a
-        // bare configuration; the paper's Section 4.6 massages it into
-        // node-edge form, which we implement as standalone proofs
-        // (lcl-gadget::ne) rather than threading through this check — see
-        // DESIGN.md §3.4.
-        let PadOut::Node(o) = node_out else {
-            return Err("node output must be a node payload".into());
+    fn check_node(&self, view: &NodeView<'_, Self::In, Self::Out>) -> Result<(), String> {
+        let PadOut::Node(o) = view.node_out else {
+            return Err(format!(
+                "output: node carries {:?}, expected a node payload",
+                view.node_out
+            ));
         };
         let delta = self.delta();
-        // Constraint 1 on the incident edges/halves.
-        for ((ei, eo), (hi, ho)) in edges.iter().zip(halves) {
-            let want_eps = ei.port_edge;
-            if want_eps != hi.port_edge {
-                return Err("1: edge/half PortEdge tags disagree".into());
-            }
-            let ok = matches!(
-                (want_eps, eo, ho),
-                (true, PadOut::Eps, PadOut::Eps) | (false, PadOut::GadPad, PadOut::GadPad)
-            );
-            if !ok {
-                return Err("1: ϵ placement mismatch".into());
-            }
+        // Constraint 3: PortErr2 exactly at ports without exactly one
+        // PortEdge.
+        let port = view.node_in.port(delta);
+        let port_edges = view.edges_in.iter().filter(|e| e.port_edge).count();
+        if (port.is_some() && port_edges != 1) != (o.flag == PortFlag::PortErr2) {
+            return Err(format!(
+                "3: flag {:?} with {port_edges} incident PortEdges (port: {})",
+                o.flag,
+                port.is_some()
+            ));
         }
-        // Constraint 3.
-        let is_port = matches!(
-            node_in.gadget,
-            Some(GadgetIn::Node { kind: NodeKind::Tree { port: true, .. }, .. })
-        );
-        let pe_count = edges.iter().filter(|(i, _)| i.port_edge).count();
-        let should_err2 = is_port && pe_count != 1;
-        if should_err2 != (o.flag == PortFlag::PortErr2) {
-            return Err(format!("3: flag {:?} with {pe_count} PortEdges", o.flag));
-        }
+        // Constraint 5.
         if o.psi.is_error_label() {
-            return Ok(()); // constraint 5 escape
+            return Ok(());
         }
         let list = &o.list;
-        if list.s.len() != delta || list.iota_e.len() != delta || list.o_e.len() != delta {
+        if !list.has_arity(delta) {
             return Err("5: Σ_list has wrong arity".into());
         }
-        if let Some(GadgetIn::Node { kind: NodeKind::Tree { index, port: true }, .. }) =
-            node_in.gadget
-        {
-            let i = usize::from(index) - 1;
+        if let Some(i) = port {
+            // 5a: Port_i ∈ S ⟺ flag = NoPortErr.
             if list.s[i] != (o.flag == PortFlag::NoPortErr) {
-                return Err(format!("5a: S[{i}] vs flag {:?}", o.flag));
+                return Err(format!("5a: S[{i}] = {} but flag = {:?}", list.s[i], o.flag));
             }
-            if index == 1 && list.iota_v != node_in.pi {
-                return Err("5b: ι^V differs from Port_1 input".into());
+            // 5b: the Port_1 node pins the virtual node's input.
+            if i == 0 && list.iota_v != view.node_in.pi {
+                return Err("5b: ι^V differs from the Port_1 node's Π-input".into());
             }
+            // 5c: in-S ports copy their PortEdge's Π-inputs.
             if list.s[i] {
-                for ((ei, _), (hi, _)) in edges.iter().zip(halves) {
-                    if ei.port_edge {
-                        if list.iota_e[i] != ei.pi {
-                            return Err("5c: ι^E mismatch".into());
-                        }
-                        if list.iota_b[i] != hi.pi {
-                            return Err("5c: ι^B mismatch".into());
-                        }
+                for (e, h) in view.edges_in.iter().zip(view.halves_in) {
+                    if !e.port_edge {
+                        continue;
+                    }
+                    if list.iota_e[i] != e.pi {
+                        return Err(format!("5c: ι^E_{i} differs from the PortEdge input"));
+                    }
+                    if list.iota_b[i] != h.pi {
+                        return Err(format!("5c: ι^B_{i} differs from the half-edge input"));
                     }
                 }
             }
         }
+        // 5d: the virtual node, with the ports α selects, satisfies C_N^Π.
         let alpha = list.alpha();
-        let e_cfg: Vec<(P::In, P::Out)> =
-            alpha.iter().map(|&k| (list.iota_e[k].clone(), list.o_e[k].clone())).collect();
-        let h_cfg: Vec<(P::In, P::Out)> =
-            alpha.iter().map(|&k| (list.iota_b[k].clone(), list.o_b[k].clone())).collect();
         self.inner
-            .check_node_config(&list.iota_v, &list.o_v, &e_cfg, &h_cfg)
-            .map_err(|e| format!("5d: {e}"))
+            .check_node(&NodeView {
+                degree: alpha.len(),
+                node_in: &list.iota_v,
+                node_out: &list.o_v,
+                edges_in: &select(&alpha, &list.iota_e),
+                edges_out: &select(&alpha, &list.o_e),
+                halves_in: &select(&alpha, &list.iota_b),
+                halves_out: &select(&alpha, &list.o_b),
+            })
+            .map_err(|why| format!("5d (C_N^Π): {why}"))
     }
 
-    fn check_edge_config(
-        &self,
-        nodes_in: [&Self::In; 2],
-        nodes_out: [&Self::Out; 2],
-        edge_in: &Self::In,
-        edge_out: &Self::Out,
-        halves_in: [&Self::In; 2],
-        halves_out: [&Self::Out; 2],
-    ) -> Result<(), String> {
-        let (PadOut::Node(ou), PadOut::Node(ov)) = (nodes_out[0], nodes_out[1]) else {
-            return Err("endpoints must carry node payloads".into());
+    fn check_edge(&self, view: &EdgeView<'_, Self::In, Self::Out>) -> Result<(), String> {
+        // Constraint 1: ϵ exactly on PortEdges and their halves; the Σ^G_out
+        // placeholder on GadEdges and their halves.
+        let port_edge = view.edge_in.port_edge;
+        let fits =
+            |o: &Self::Out| matches!((port_edge, o), (true, PadOut::Eps) | (false, PadOut::GadPad));
+        if !fits(view.edge_out) {
+            return Err(format!(
+                "1: edge output {:?} mismatches its {} tag",
+                view.edge_out,
+                if port_edge { "PortEdge" } else { "GadEdge" }
+            ));
+        }
+        if !view.halves_out.iter().all(|h| fits(h)) {
+            return Err("1: half-edge output mismatch".into());
+        }
+        let (PadOut::Node(ou), PadOut::Node(ov)) = (view.nodes_out[0], view.nodes_out[1]) else {
+            return Err("output: an endpoint carries no node payload".into());
         };
-        // Constraint 1.
-        let want_eps = edge_in.port_edge;
-        let ok = matches!(
-            (want_eps, edge_out, halves_out[0], halves_out[1]),
-            (true, PadOut::Eps, PadOut::Eps, PadOut::Eps)
-                | (false, PadOut::GadPad, PadOut::GadPad, PadOut::GadPad)
-        );
-        if !ok {
-            return Err("1: ϵ placement mismatch".into());
-        }
-        if ou.psi.is_error_label() || ov.psi.is_error_label() {
-            // Constraint 6 escape; the Ψ pointer-chain compatibility is
-            // still a pure edge check (node-edge form of 4.4 constraint 3).
-            if !want_eps {
-                psi_pointer_compat(nodes_in, ou.psi, ov.psi, halves_in)?;
+        let erroneous = ou.psi.is_error_label() || ov.psi.is_error_label();
+        if !port_edge {
+            // Ψ's pointer rule (3a–3f of Section 4.4): a pointer along this
+            // edge must reach an output its kind allows.
+            for (side, me, other) in [(0, ou, ov), (1, ov, ou)] {
+                let PsiOutput::Pointer(p) = me.psi else { continue };
+                let from = view.nodes_in[side].gadget.and_then(|gi| gi.kind());
+                if view.halves_in[side].gadget.and_then(|gi| gi.dir()) == Some(p)
+                    && !pointer_may_target(from, p, other.psi)
+                {
+                    return Err(format!("2 (Ψ_G): →{p} points at {}", other.psi));
+                }
             }
-            return Ok(());
-        }
-        if !want_eps {
-            if ou.list != ov.list {
+            // 6: the whole gadget agrees on Σ_list.
+            if !erroneous && ou.list != ov.list {
                 return Err("6: Σ_list differs across a GadEdge".into());
             }
             return Ok(());
         }
-        // 4(ii) at config level.
-        let port_of = |ni: &Self::In| match ni.gadget {
-            Some(GadgetIn::Node { kind: NodeKind::Tree { index, port: true }, .. }) => {
-                Some(usize::from(index) - 1)
-            }
-            _ => None,
-        };
-        let (pi_u, pi_v) = (port_of(nodes_in[0]), port_of(nodes_in[1]));
-        for ((pw, ow), px) in [((pi_u, ou), pi_v), ((pi_v, ov), pi_u)] {
-            if pw.is_some() && px.is_none() && ow.flag == PortFlag::NoPortErr {
-                return Err("4: NoPortErr against a NoPort endpoint".into());
+        // Constraint 4.
+        let delta = self.delta();
+        let (pu, pv) = (view.nodes_in[0].port(delta), view.nodes_in[1].port(delta));
+        // 4(i): two ports with GadOk may not claim PortErr1.
+        if pu.is_some()
+            && pv.is_some()
+            && !erroneous
+            && (ou.flag == PortFlag::PortErr1 || ov.flag == PortFlag::PortErr1)
+        {
+            return Err("4: PortErr1 on a good port pair".into());
+        }
+        // 4(ii): a port whose edge touches NoPort or L_Err may not claim
+        // NoPortErr.
+        for (pw, ow, px) in [(pu, ou, pv), (pv, ov, pu)] {
+            if pw.is_some() && (px.is_none() || erroneous) && ow.flag == PortFlag::NoPortErr {
+                return Err("4: NoPortErr on a port wired to NoPort or an erroneous gadget".into());
             }
         }
-        let (Some(i), Some(j)) = (pi_u, pi_v) else { return Ok(()) };
-        if !(ou.list.s.get(i) == Some(&true) && ov.list.s.get(j) == Some(&true)) {
+        // 6: a PortEdge between two in-S ports is a virtual edge, and it
+        // satisfies C_E^Π. A wrong arity is constraint 5's, at the node.
+        let (Some(i), Some(j)) = (pu, pv) else { return Ok(()) };
+        let (lu, lv) = (&ou.list, &ov.list);
+        if erroneous || !(lu.has_arity(delta) && lv.has_arity(delta) && lu.s[i] && lv.s[j]) {
             return Ok(());
         }
-        if ou.list.iota_e[i] != ov.list.iota_e[j] || ou.list.o_e[i] != ov.list.o_e[j] {
-            return Err("6: port entries disagree".into());
+        if lu.iota_e[i] != lv.iota_e[j] {
+            return Err("6: ι^E entries disagree".into());
+        }
+        if lu.o_e[i] != lv.o_e[j] {
+            return Err("6: o^E entries disagree".into());
         }
         self.inner
-            .check_edge_config(
-                [&ou.list.iota_v, &ov.list.iota_v],
-                [&ou.list.o_v, &ov.list.o_v],
-                &ou.list.iota_e[i],
-                &ou.list.o_e[i],
-                [&ou.list.iota_b[i], &ov.list.iota_b[j]],
-                [&ou.list.o_b[i], &ov.list.o_b[j]],
-            )
-            .map_err(|e| format!("6: {e}"))
+            .check_edge(&EdgeView {
+                // Two ports of one gadget make a virtual loop, which radius
+                // 1 cannot see.
+                self_loop: false,
+                nodes_in: [&lu.iota_v, &lv.iota_v],
+                nodes_out: [&lu.o_v, &lv.o_v],
+                edge_in: &lu.iota_e[i],
+                edge_out: &lu.o_e[i],
+                halves_in: [&lu.iota_b[i], &lv.iota_b[j]],
+                halves_out: [&lu.o_b[i], &lv.o_b[j]],
+            })
+            .map_err(|why| format!("6 (C_E^Π): {why}"))
     }
+}
 
+/// Padded problems are themselves inner problems (the Section 5
+/// recursion).
+impl<P: InnerProblem> InnerProblem for PaddedProblem<P> {
     fn filler_in(&self) -> Self::In {
         PadIn {
             pi: self.inner.filler_in(),
@@ -677,58 +500,6 @@ impl<P: InnerProblem> InnerProblem for PaddedProblem<P> {
             psi: PsiOutput::Error,
         }))
     }
-}
-
-/// Node-edge form of the `Ψ` pointer-chain constraints (Section 4.4
-/// constraint 3) over one `GadEdge`.
-fn psi_pointer_compat<I>(
-    nodes_in: [&PadIn<I>; 2],
-    psi_u: PsiOutput,
-    psi_v: PsiOutput,
-    halves_in: [&PadIn<I>; 2],
-) -> Result<(), String> {
-    use lcl_gadget::Dir;
-    for (me, my_half, other_psi, my_in) in
-        [(psi_u, halves_in[0], psi_v, nodes_in[0]), (psi_v, halves_in[1], psi_u, nodes_in[1])]
-    {
-        let PsiOutput::Pointer(p) = me else { continue };
-        let Some(my_dir) = my_half.gadget.and_then(|gi| gi.dir()) else { continue };
-        if my_dir != p {
-            continue; // this edge is not the pointed-along edge
-        }
-        let allowed = match p {
-            Dir::Right => matches!(other_psi, PsiOutput::Error | PsiOutput::Pointer(Dir::Right)),
-            Dir::Left => matches!(other_psi, PsiOutput::Error | PsiOutput::Pointer(Dir::Left)),
-            Dir::Parent => matches!(
-                other_psi,
-                PsiOutput::Error
-                    | PsiOutput::Pointer(Dir::Parent | Dir::Left | Dir::Right | Dir::Up)
-            ),
-            Dir::RChild => matches!(
-                other_psi,
-                PsiOutput::Error | PsiOutput::Pointer(Dir::RChild | Dir::Right | Dir::Left)
-            ),
-            Dir::Up => {
-                let my_index = match my_in.gadget.and_then(|gi| gi.kind()) {
-                    Some(NodeKind::Tree { index, .. }) => Some(index),
-                    _ => None,
-                };
-                match other_psi {
-                    PsiOutput::Error => true,
-                    PsiOutput::Pointer(Dir::Down(j)) => Some(j) != my_index,
-                    _ => false,
-                }
-            }
-            Dir::Down(_) => {
-                matches!(other_psi, PsiOutput::Error | PsiOutput::Pointer(Dir::RChild))
-            }
-            Dir::LChild => false,
-        };
-        if !allowed {
-            return Err(format!("Ψ chain: →{p} points at {other_psi}"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -782,56 +553,54 @@ mod tests {
 
     #[test]
     fn pointer_compat_allows_legal_chains_and_rejects_illegal() {
-        let tree_in = |index: u8| PadIn::<()> {
+        // The edge constraint applies Ψ's pointer rule along GadEdges.
+        let p = PaddedProblem::new(SinklessInner::new(), 3);
+        let tree_in = PadIn::<()> {
             pi: (),
-            gadget: Some(GadgetIn::Node { kind: NodeKind::Tree { index, port: false }, color: 0 }),
+            gadget: Some(GadgetIn::Node {
+                kind: NodeKind::Tree { index: 1, port: false },
+                color: 0,
+            }),
             port_edge: false,
         };
+        let edge_in = PadIn::<()> { pi: (), gadget: Some(GadgetIn::Edge), port_edge: false };
         let half_in = |dir: Dir| PadIn::<()> {
             pi: (),
             gadget: Some(GadgetIn::Half { dir, color: 0 }),
             port_edge: false,
         };
+        let node_out = |psi: PsiOutput| {
+            PadOut::Node(Box::new(PadNodeOut {
+                list: SigmaList::filler(&p.inner, 3),
+                flag: PortFlag::NoPortErr,
+                psi,
+            }))
+        };
+        let check = |psi: [PsiOutput; 2], dirs: [Dir; 2]| {
+            let [ou, ov] = psi.map(node_out);
+            let [hu, hv] = dirs.map(half_in);
+            p.check_edge(&EdgeView {
+                self_loop: false,
+                nodes_in: [&tree_in, &tree_in],
+                nodes_out: [&ou, &ov],
+                edge_in: &edge_in,
+                edge_out: &PadOut::GadPad,
+                halves_in: [&hu, &hv],
+                halves_out: [&PadOut::GadPad, &PadOut::GadPad],
+            })
+        };
+        let ptr = PsiOutput::Pointer;
         // →Right over a Right-labeled half must see Right or Error.
-        let u = tree_in(1);
-        let v = tree_in(1);
-        let ok = psi_pointer_compat(
-            [&u, &v],
-            PsiOutput::Pointer(Dir::Right),
-            PsiOutput::Pointer(Dir::Right),
-            [&half_in(Dir::Right), &half_in(Dir::Left)],
-        );
-        assert!(ok.is_ok());
-        let bad = psi_pointer_compat(
-            [&u, &v],
-            PsiOutput::Pointer(Dir::Right),
-            PsiOutput::Ok,
-            [&half_in(Dir::Right), &half_in(Dir::Left)],
-        );
-        assert!(bad.is_err());
-        // →Up must see Down_j with j ≠ own index.
-        let bad_up = psi_pointer_compat(
-            [&u, &v],
-            PsiOutput::Pointer(Dir::Up),
-            PsiOutput::Pointer(Dir::Down(1)),
-            [&half_in(Dir::Up), &half_in(Dir::Down(1))],
-        );
-        assert!(bad_up.is_err());
-        let ok_up = psi_pointer_compat(
-            [&u, &v],
-            PsiOutput::Pointer(Dir::Up),
-            PsiOutput::Pointer(Dir::Down(2)),
-            [&half_in(Dir::Up), &half_in(Dir::Down(1))],
-        );
-        assert!(ok_up.is_ok());
+        assert!(check([ptr(Dir::Right), ptr(Dir::Right)], [Dir::Right, Dir::Left]).is_ok());
+        let bad = check([ptr(Dir::Right), PsiOutput::Ok], [Dir::Right, Dir::Left]);
+        assert!(bad.is_err_and(|why| why.starts_with("2 (Ψ_G)")));
+        // →Up must see Down_j with j ≠ own index; →Down_i must see RChild.
+        assert!(check([ptr(Dir::Up), ptr(Dir::Down(1))], [Dir::Up, Dir::Down(1)]).is_err());
+        assert!(check([ptr(Dir::Up), ptr(Dir::Down(2))], [Dir::Up, Dir::Down(1)]).is_ok());
+        assert!(check([ptr(Dir::Down(1)), ptr(Dir::Up)], [Dir::Down(1), Dir::Up]).is_err());
+        assert!(check([ptr(Dir::Down(1)), ptr(Dir::RChild)], [Dir::Down(1), Dir::Up]).is_ok());
         // A pointer along a *different* edge is unconstrained here.
-        let unrelated = psi_pointer_compat(
-            [&u, &v],
-            PsiOutput::Pointer(Dir::Parent),
-            PsiOutput::Ok,
-            [&half_in(Dir::Right), &half_in(Dir::Left)],
-        );
-        assert!(unrelated.is_ok());
+        assert!(check([ptr(Dir::Parent), PsiOutput::Ok], [Dir::Right, Dir::Left]).is_ok());
     }
 
     #[test]

@@ -135,7 +135,7 @@ where
         }
 
         // (2) Port flags.
-        let input_port = |v: NodeId| crate::solver::input_port_of(input, v);
+        let input_port = |v: NodeId| input.node(v).port(delta);
         let port_edges_of = |v: NodeId| -> Vec<HalfEdge> {
             g.ports(v).iter().copied().filter(|h| input.edge(h.edge()).port_edge).collect()
         };
@@ -270,7 +270,7 @@ where
         for r in &vedges {
             for (port_node, vside) in [(r.u_port, Side::A), (r.v_port, Side::B)] {
                 let c = comp_of[port_node.index()] as usize;
-                let i = input_port_of(input, port_node).expect("in-S node is a port");
+                let i = input_port(port_node).expect("in-S node is a port");
                 lists[c].o_e[i] = vout.edge(r.vedge).clone();
                 lists[c].o_b[i] = vout.half(HalfEdge::new(r.vedge, vside)).clone();
             }
@@ -329,16 +329,6 @@ where
 
 fn vids_len(vid_of_comp: &[Option<u32>]) -> usize {
     vid_of_comp.iter().filter(|v| v.is_some()).count()
-}
-
-pub(crate) fn input_port_of<I>(input: &Labeling<PadIn<I>>, v: NodeId) -> Option<usize> {
-    match input.node(v).gadget {
-        Some(lcl_gadget::GadgetIn::Node {
-            kind: lcl_gadget::NodeKind::Tree { index, port: true },
-            ..
-        }) => Some(usize::from(index) - 1),
-        _ => None,
-    }
 }
 
 impl<P, A> PiAlgorithm<PaddedProblem<P>> for PaddedAlgorithm<P, A>
