@@ -16,9 +16,17 @@
 //!    an `x` exists) and adopts the color `(x, p(x)) ∈ [q²]`. Iterating
 //!    reaches `O(Δ² log Δ)` colors in `O(log* k)` rounds.
 //! 3. **Color-class elimination**: while more than `Δ + 1` colors remain,
-//!    the top color class recolors greedily (its members form an
-//!    independent set of the conflict graph *within their class*, so one
-//!    round per class suffices).
+//!    the top color class recolors greedily to the smallest color its
+//!    neighbors do not hold, one round per class.
+//!
+//! Step 3 is simulated in one pass: the nodes whose color is at least
+//! `Δ + 1` are sorted by color, descending, and recolored in place in that
+//! order. This equals the synchronous rounds. A class is an independent set,
+//! since the coloring stays proper, so its members read none of each
+//! other's colors and their order within the class does not matter. And
+//! when a class moves, every higher class has already moved while every
+//! lower one still holds its color, which is what its round sees.
+//! `elimination_rounds` counts one round per class.
 
 use crate::error::AlgoError;
 use lcl_core::problems::ColoringLabel;
@@ -79,14 +87,18 @@ pub fn run_with<X: NodeExecutor>(net: &Network, exec: &X) -> LinialOutcome {
 }
 
 /// Fallible [`run_with`]: a pathological instance fails this call instead
-/// of panicking the process. Every simulated round's per-node recoloring
-/// step fans out across the executor. Each node reads only the previous
-/// round's colors, so the outcome is bit-identical under **any** executor.
+/// of panicking the process. Each Linial step's per-node recoloring fans
+/// out across the executor and reads only the previous round's colors; the
+/// color-class elimination is one sequential pass (see the module doc).
+/// So the outcome is bit-identical under **any** executor.
 ///
 /// # Errors
 ///
 /// [`AlgoError::Unsolvable`] if the graph contains a self-loop — no
 /// proper coloring exists (the reason mentions "loopless").
+/// [`AlgoError::RoundCapExceeded`] if the elimination would take more
+/// than `u32::MAX` rounds (an id space far above `Δ`, with no Linial step
+/// to shrink it).
 pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOutcome, AlgoError> {
     let g = net.graph();
     if g.edges().any(|e| g.is_self_loop(e)) {
@@ -107,45 +119,58 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
     let mut reduction_rounds = 0;
 
     while let Some(q) = linial_prime(k, delta) {
-        let d = digits(k, q);
-        let next: Vec<u64> = exec.map_nodes(n, |vi| {
+        let d = digits(k, q) as usize;
+        // Node v's polynomial is `coeffs[v·d..][..d]`, extracted once for v
+        // and every neighbor that evaluates it. Digits are below `q < 2³²`.
+        let mut coeffs = Vec::with_capacity(n * d);
+        for &c in &colors {
+            let mut rest = c;
+            for _ in 0..d {
+                coeffs.push((rest % q) as u32);
+                rest /= q;
+            }
+        }
+        let poly = |v: lcl_graph::NodeId| &coeffs[v.index() * d..][..d];
+        colors = exec.map_nodes(n, |vi| {
             let v = lcl_graph::NodeId(vi as u32);
-            let pv = poly(colors[v.index()], q, d);
-            let forbidden: Vec<Vec<u64>> =
-                g.neighbors(v).map(|(w, _)| poly(colors[w.index()], q, d)).collect();
-            let x = (0..q)
-                .find(|&x| {
-                    forbidden.iter().all(|pw| pw == &pv || eval(&pv, x, q) != eval(pw, x, q))
+            let pv = poly(v);
+            // The coloring is proper, so every neighbor's polynomial differs
+            // from `pv` and blocks at most `d - 1` points.
+            (0..q)
+                .find_map(|x| {
+                    let y = eval(pv, x, q);
+                    g.neighbors(v).all(|(w, _)| eval(poly(w), x, q) != y).then_some(x * q + y)
                 })
-                .expect("q > Δ(d-1) guarantees a free point");
-            // Neighbors with an *identical* polynomial would collide at
-            // every x — impossible, since the current coloring is
-            // proper, so identical polynomials means identical colors.
-            x * q + eval(&pv, x, q)
+                .expect("q > Δ(d-1) guarantees a free point")
         });
-        colors = next;
         k = q * q;
         reduction_rounds += 1;
     }
 
-    // Color-class elimination down to Δ + 1.
-    let mut elimination_rounds = 0;
+    // Color-class elimination down to Δ + 1, one class per round from the
+    // top, simulated in one descending pass (see the module doc).
     let target = delta + 1;
-    while k > target {
-        let top = k - 1;
-        let next: Vec<u64> = exec.map_nodes(n, |vi| {
-            let v = lcl_graph::NodeId(vi as u32);
-            if colors[v.index()] != top {
-                return colors[v.index()];
+    let elimination_rounds = u32::try_from(k.saturating_sub(target))
+        .map_err(|_| AlgoError::RoundCapExceeded { algo: "linial", cap: u32::MAX })?;
+    let mut order: Vec<(u64, lcl_graph::NodeId)> =
+        g.nodes().map(|v| (colors[v.index()], v)).filter(|&(c, _)| c >= target).collect();
+    order.sort_unstable_by_key(|&(c, _)| std::cmp::Reverse(c));
+    // A node of degree `deg` finds a free color in `0..=deg`, inside the
+    // `(Δ+1)`-palette, so the marks cover the part's own degrees only.
+    // Slot `c` holds the position in `order` of the last node that saw a
+    // neighbor holding color `c`.
+    let mut taken = vec![usize::MAX; g.max_degree() + 1];
+    for (i, &(_, v)) in order.iter().enumerate() {
+        for (w, _) in g.neighbors(v) {
+            let c = colors[w.index()];
+            if c < taken.len() as u64 {
+                taken[c as usize] = i;
             }
-            let used: Vec<u64> = g.neighbors(v).map(|(w, _)| colors[w.index()]).collect();
-            (0..target)
-                .find(|c| !used.contains(c))
-                .expect("degree ≤ Δ leaves a free color in a (Δ+1)-palette")
-        });
-        colors = next;
-        k -= 1;
-        elimination_rounds += 1;
+        }
+        let free = (0..=g.degree(v))
+            .find(|&c| taken[c] != i)
+            .expect("degree ≤ Δ leaves a free color in a (Δ+1)-palette");
+        colors[v.index()] = free as u64;
     }
 
     let colors_u32: Vec<u32> = colors.iter().map(|&c| c as u32).collect();
@@ -211,23 +236,12 @@ fn is_prime(x: u64) -> bool {
     true
 }
 
-/// Base-`q` digits of `c`, least significant first: the coefficients of the
-/// color's polynomial.
-fn poly(c: u64, q: u64, d: u32) -> Vec<u64> {
-    let mut digits = Vec::with_capacity(d as usize);
-    let mut rest = c;
-    for _ in 0..d {
-        digits.push(rest % q);
-        rest /= q;
-    }
-    digits
-}
-
-/// Evaluates the polynomial at `x` over `F_q`.
-fn eval(p: &[u64], x: u64, q: u64) -> u64 {
+/// Evaluates the polynomial with coefficients `p` (least significant
+/// first, each below `q`) at `x` over `F_q`.
+fn eval(p: &[u32], x: u64, q: u64) -> u64 {
     let mut acc = 0u64;
     for &coef in p.iter().rev() {
-        acc = (acc * x + coef) % q;
+        acc = (acc * x + u64::from(coef)) % q;
     }
     acc
 }
@@ -298,6 +312,18 @@ mod tests {
         g.add_edge(lcl_graph::NodeId(0), lcl_graph::NodeId(0));
         let net = Network::new(g, IdAssignment::Sequential);
         let _ = run(&net);
+    }
+
+    #[test]
+    fn elimination_past_u32_rounds_is_an_error() {
+        // An announced id space of 2³⁶ with Δ = 2¹⁷ admits no Linial step
+        // (a prime q with q² < 2³⁶ needs d ≥ 3 digits, so a step needs
+        // q > 2Δ = 2¹⁸), so the elimination would take about 2³⁶ rounds.
+        let net = Network::new(gen::path(2), IdAssignment::Sequential)
+            .with_known_n(1 << 36)
+            .with_announced_max_degree(1 << 17);
+        let err = try_run_with(&net, &Sequential).unwrap_err();
+        assert_eq!(err, AlgoError::RoundCapExceeded { algo: "linial", cap: u32::MAX });
     }
 
     #[test]

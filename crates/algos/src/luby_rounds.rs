@@ -24,7 +24,7 @@
 
 use crate::error::AlgoError;
 use lcl_core::problems::MisLabel;
-use lcl_core::{assemble, Labeling, NodeLocalOutput};
+use lcl_core::{assemble, Labeling};
 use lcl_local::{run_rounds_with, Network, NodeCtx, NodeExecutor, RoundAlgorithm, Sequential};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -225,23 +225,16 @@ pub fn try_run_with<X: NodeExecutor>(
         return Err(AlgoError::RoundCapExceeded { algo: "luby-rounds", cap });
     }
     let rounds = out.trace.rounds;
-    let locals: Vec<NodeLocalOutput<MisLabel>> = out
-        .into_outputs()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (label, dom))| {
-            let v = lcl_graph::NodeId(i as u32);
-            let degree = net.graph().degree(v);
-            NodeLocalOutput {
-                node: label,
-                halves: (0..degree)
-                    .map(|p| if dom == Some(p) { MisLabel::Pointer } else { MisLabel::NoPointer })
-                    .collect(),
-                edges: vec![MisLabel::Blank; degree],
-            }
-        })
-        .collect();
-    let labeling = assemble(net.graph(), &locals).expect("edge labels agree trivially");
+    let outputs = out.into_outputs();
+    let labeling = assemble(
+        net.graph(),
+        |v| outputs[v.index()].0,
+        |v, p| {
+            let pointer = outputs[v.index()].1 == Some(p);
+            (if pointer { MisLabel::Pointer } else { MisLabel::NoPointer }, MisLabel::Blank)
+        },
+    )
+    .expect("edge labels agree trivially");
     let outcome = DistributedLubyOutcome { labeling, rounds };
     if lcl_certify::enabled() {
         crate::error::self_certify_decoded(net.graph(), outcome.solution(net.graph()));

@@ -29,7 +29,7 @@
 
 use crate::error::AlgoError;
 use lcl_core::problems::MatchingLabel;
-use lcl_core::{assemble, Labeling, NodeLocalOutput};
+use lcl_core::{assemble, Labeling};
 use lcl_local::{run_rounds_with, Network, NodeCtx, NodeExecutor, RoundAlgorithm, Sequential};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -303,29 +303,25 @@ pub fn try_run_with<X: NodeExecutor>(
     let decisions = out.into_outputs();
     // A node's matched_port must be symmetric; assemble enforces edge
     // agreement, so label edges from the port decisions.
-    let locals: Vec<NodeLocalOutput<MatchingLabel>> = decisions
-        .iter()
-        .enumerate()
-        .map(|(i, matched)| {
-            let v = lcl_graph::NodeId(i as u32);
-            let degree = net.graph().degree(v);
-            NodeLocalOutput {
-                node: if matched.is_some() { MatchingLabel::Matched } else { MatchingLabel::Free },
-                halves: vec![MatchingLabel::Blank; degree],
-                edges: (0..degree)
-                    .map(|p| {
-                        if *matched == Some(p) {
-                            MatchingLabel::InMatching
-                        } else {
-                            MatchingLabel::NotInMatching
-                        }
-                    })
-                    .collect(),
+    let labeling = assemble(
+        net.graph(),
+        |v| {
+            if decisions[v.index()].is_some() {
+                MatchingLabel::Matched
+            } else {
+                MatchingLabel::Free
             }
-        })
-        .collect();
-    let labeling = assemble(net.graph(), &locals)
-        .expect("handshake matches are symmetric, so edge labels agree");
+        },
+        |v, p| {
+            let edge = if decisions[v.index()] == Some(p) {
+                MatchingLabel::InMatching
+            } else {
+                MatchingLabel::NotInMatching
+            };
+            (MatchingLabel::Blank, edge)
+        },
+    )
+    .expect("handshake matches are symmetric, so edge labels agree");
     let outcome = DistributedMatchingOutcome { labeling, rounds };
     if lcl_certify::enabled() {
         crate::error::self_certify_decoded(net.graph(), outcome.solution(net.graph()));

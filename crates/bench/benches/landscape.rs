@@ -26,6 +26,13 @@ fn bench_landscape(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("linial-3col", n), &cyc, |b, net| {
             b.iter(|| linial::run(net));
         });
+        // A store shard of 8-cliques (Δ = 7) announced as part of an
+        // n = 2²⁰ instance: two Linial steps, then 281 eliminated classes.
+        let pods = gen::pods(n / 8, 8, 0, 1).expect("valid pods parameters");
+        let shard = Network::new(pods, IdAssignment::Shuffled { seed: 1 }).with_known_n(1 << 20);
+        group.bench_with_input(BenchmarkId::new("linial-pods-shard", n), &shard, |b, net| {
+            b.iter(|| linial::run(net));
+        });
     }
     group.finish();
 }

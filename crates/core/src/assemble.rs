@@ -1,40 +1,13 @@
 //! Assembling a global [`Labeling`] from per-node local outputs.
 
 use crate::labeling::Labeling;
-use lcl_graph::{EdgeId, Graph, NodeId};
+use lcl_graph::{EdgeId, Graph, HalfEdge, NodeId, Side};
 use std::error::Error;
 use std::fmt;
-
-/// What one node emits in a solution: a label for itself and, per incident
-/// port, a label for the half-edge on its side and a *proposal* for the
-/// edge label.
-///
-/// The paper requires that for every edge `e = {u, v}` "nodes `u` and `v`
-/// have to choose the same output label for `e`"; [`assemble`] enforces
-/// exactly that.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NodeLocalOutput<L> {
-    /// Label the node assigns to itself.
-    pub node: L,
-    /// Per port: label for the half-edge `(v, e)` on this node's side.
-    pub halves: Vec<L>,
-    /// Per port: this node's proposal for the edge label of the edge at
-    /// that port.
-    pub edges: Vec<L>,
-}
 
 /// Failure to merge per-node outputs into a labeling.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AssembleError {
-    /// A node emitted the wrong number of per-port labels.
-    DegreeMismatch {
-        /// The offending node.
-        node: NodeId,
-        /// Its degree in the graph.
-        expected: usize,
-        /// How many port labels it emitted.
-        got: usize,
-    },
     /// The two endpoints of an edge proposed different edge labels.
     EdgeDisagreement {
         /// The edge whose endpoints disagree.
@@ -45,9 +18,6 @@ pub enum AssembleError {
 impl fmt::Display for AssembleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AssembleError::DegreeMismatch { node, expected, got } => {
-                write!(f, "node {node} emitted {got} port labels, degree is {expected}")
-            }
             AssembleError::EdgeDisagreement { edge } => {
                 write!(f, "endpoints of {edge} proposed different edge labels")
             }
@@ -57,63 +27,40 @@ impl fmt::Display for AssembleError {
 
 impl Error for AssembleError {}
 
-/// Merges per-node outputs (indexed by node) into a global labeling.
+/// Merges what every node emits into a global labeling. A node labels
+/// itself, `node(v)`, and at each port `p` returns `port(v, p)`: the label
+/// of the half-edge on its side and its *proposal* for the edge label.
+/// `port` is called once per port, so a node's output exists only at the
+/// ports it has.
+///
+/// The paper requires that for every edge `e = {u, v}` "nodes `u` and `v`
+/// have to choose the same output label for `e`"; `assemble` enforces
+/// exactly that.
 ///
 /// # Errors
 ///
-/// Returns [`AssembleError::DegreeMismatch`] if a node labeled the wrong
-/// number of ports, and [`AssembleError::EdgeDisagreement`] if the two
-/// endpoints of an edge proposed different labels for it. For a self-loop
-/// both proposals come from the same node (its two ports) and must still
-/// agree.
-///
-/// # Panics
-///
-/// Panics if `outputs.len() != g.node_count()`.
-pub fn assemble<L: Clone + Eq>(
+/// [`AssembleError::EdgeDisagreement`] for the lowest-numbered edge whose
+/// two endpoints proposed different labels for it. For a self-loop both
+/// proposals come from the same node (its two ports) and must still agree.
+pub fn assemble<L: Eq>(
     g: &Graph,
-    outputs: &[NodeLocalOutput<L>],
+    node: impl FnMut(NodeId) -> L,
+    mut port: impl FnMut(NodeId, usize) -> (L, L),
 ) -> Result<Labeling<L>, AssembleError> {
-    assert_eq!(outputs.len(), g.node_count(), "one output per node required");
-    for v in g.nodes() {
-        let o = &outputs[v.index()];
-        let d = g.degree(v);
-        if o.halves.len() != d || o.edges.len() != d {
-            return Err(AssembleError::DegreeMismatch {
-                node: v,
-                expected: d,
-                got: o.halves.len().max(o.edges.len()),
-            });
+    let mut edge_labels = Vec::with_capacity(g.edge_count());
+    let mut half_labels = Vec::with_capacity(g.edge_count());
+    for e in g.edges() {
+        let [(half_a, edge_a), (half_b, edge_b)] = [Side::A, Side::B].map(|side| {
+            let h = HalfEdge::new(e, side);
+            port(g.half_edge_node(h), g.port_of(h))
+        });
+        if edge_a != edge_b {
+            return Err(AssembleError::EdgeDisagreement { edge: e });
         }
+        edge_labels.push(edge_a);
+        half_labels.push([half_a, half_b]);
     }
-
-    let mut edge_labels: Vec<Option<L>> = vec![None; g.edge_count()];
-    let mut half_labels: Vec<[Option<L>; 2]> = vec![[None, None]; g.edge_count()];
-    for v in g.nodes() {
-        let o = &outputs[v.index()];
-        for (port, &h) in g.ports(v).iter().enumerate() {
-            half_labels[h.edge().index()][h.side().index()] = Some(o.halves[port].clone());
-            match &edge_labels[h.edge().index()] {
-                None => edge_labels[h.edge().index()] = Some(o.edges[port].clone()),
-                Some(existing) => {
-                    if *existing != o.edges[port] {
-                        return Err(AssembleError::EdgeDisagreement { edge: h.edge() });
-                    }
-                }
-            }
-        }
-    }
-
-    let node = outputs.iter().map(|o| o.node.clone()).collect();
-    let edge = edge_labels
-        .into_iter()
-        .map(|l| l.expect("every edge has two incidences, so a label"))
-        .collect();
-    let half = half_labels
-        .into_iter()
-        .map(|[a, b]| [a.expect("half labeled"), b.expect("half labeled")])
-        .collect();
-    Ok(Labeling::from_parts(node, edge, half))
+    Ok(Labeling::from_parts(g.nodes().map(node).collect(), edge_labels, half_labels))
 }
 
 #[cfg(test)]
@@ -124,43 +71,28 @@ mod tests {
     #[test]
     fn assemble_merges_agreeing_outputs() {
         let g = gen::path(3);
-        let outs: Vec<NodeLocalOutput<u32>> = g
-            .nodes()
-            .map(|v| NodeLocalOutput {
-                node: v.0,
-                halves: g
-                    .ports(v)
-                    .iter()
-                    .map(|h| h.edge().0 * 10 + h.side().index() as u32)
-                    .collect(),
-                edges: g.ports(v).iter().map(|h| h.edge().0 * 100).collect(),
-            })
-            .collect();
-        let lab = assemble(&g, &outs).expect("agreeing outputs");
+        let lab = assemble(
+            &g,
+            |v| v.0,
+            |v, p| {
+                let h = g.ports(v)[p];
+                (h.edge().0 * 10 + h.side().index() as u32, h.edge().0 * 100)
+            },
+        )
+        .expect("agreeing outputs");
         assert_eq!(*lab.node(NodeId(1)), 1);
         assert_eq!(*lab.edge(EdgeId(1)), 100);
+        assert_eq!(*lab.half(HalfEdge::new(EdgeId(1), Side::B)), 11);
     }
 
     #[test]
     fn disagreement_is_an_error() {
-        let g = gen::path(2);
-        let outs = vec![
-            NodeLocalOutput { node: 0u32, halves: vec![0], edges: vec![1] },
-            NodeLocalOutput { node: 0, halves: vec![0], edges: vec![2] },
-        ];
-        assert_eq!(assemble(&g, &outs), Err(AssembleError::EdgeDisagreement { edge: EdgeId(0) }));
-    }
-
-    #[test]
-    fn degree_mismatch_is_an_error() {
-        let g = gen::path(2);
-        let outs = vec![
-            NodeLocalOutput { node: 0u32, halves: vec![], edges: vec![] },
-            NodeLocalOutput { node: 0, halves: vec![0], edges: vec![0] },
-        ];
-        let err = assemble(&g, &outs).unwrap_err();
-        assert!(matches!(err, AssembleError::DegreeMismatch { node: NodeId(0), .. }));
-        assert!(err.to_string().contains("degree"));
+        // Node 1 proposes its own index on both of its edges, which its
+        // neighbors 0 and 2 do not: edge 0 is the first to disagree.
+        let g = gen::path(3);
+        let err = assemble(&g, |_| 0u32, |v, _| (0, v.0)).unwrap_err();
+        assert_eq!(err, AssembleError::EdgeDisagreement { edge: EdgeId(0) });
+        assert!(err.to_string().contains("different edge labels"));
     }
 
     #[test]
@@ -169,10 +101,10 @@ mod tests {
         let v = g.add_node();
         g.add_edge(v, v);
         // The node proposes different labels on its two loop ports.
-        let bad = vec![NodeLocalOutput { node: 0u32, halves: vec![1, 2], edges: vec![3, 4] }];
-        assert!(assemble(&g, &bad).is_err());
-        let good = vec![NodeLocalOutput { node: 0u32, halves: vec![1, 2], edges: vec![3, 3] }];
-        let lab = assemble(&g, &good).expect("agreeing loop");
+        assert!(assemble(&g, |_| 0u32, |_, p| (p as u32 + 1, p as u32 + 3)).is_err());
+        let lab = assemble(&g, |_| 0u32, |_, p| (p as u32 + 1, 3)).expect("agreeing loop");
         assert_eq!(*lab.edge(EdgeId(0)), 3);
+        assert_eq!(*lab.half(HalfEdge::new(EdgeId(0), Side::A)), 1);
+        assert_eq!(*lab.half(HalfEdge::new(EdgeId(0), Side::B)), 2);
     }
 }

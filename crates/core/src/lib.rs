@@ -20,8 +20,8 @@
 //! * [`check`]: the distributed-style verifier (it reports *which* node or
 //!   edge rejects, as the model requires);
 //! * [`assemble`]: the bridge from per-node local outputs (each node labels
-//!   itself and its incident elements; endpoints must agree on edge labels)
-//!   to a global [`Labeling`];
+//!   itself and, port by port, its half-edge and a proposal for the edge;
+//!   endpoints must agree on edge labels) to a global [`Labeling`];
 //! * [`problems`]: sinkless orientation (Figure 3 of the paper), vertex
 //!   coloring, maximal matching, maximal independent set, and the trivial
 //!   problem — the zoo populating the Figure-1 landscape experiment.
@@ -35,6 +35,6 @@ mod problem;
 
 pub mod problems;
 
-pub use assemble::{assemble, AssembleError, NodeLocalOutput};
+pub use assemble::{assemble, AssembleError};
 pub use labeling::Labeling;
 pub use problem::{check, CheckResult, EdgeView, NeLcl, NodeView, Violation};

@@ -4,20 +4,24 @@ use lcl_core::problems::{
     ColoringLabel, EdgeColoring, EdgeColoringLabel, MatchingLabel, MaximalIndependentSet,
     MaximalMatching, MisLabel, Orient, SinklessOrientation, Trivial, VertexColoring,
 };
-use lcl_core::{assemble, check, Labeling, NeLcl, NodeLocalOutput, Violation};
+use lcl_core::{assemble, check, AssembleError, Labeling, NeLcl, Violation};
 use lcl_graph::{gen, Graph, NodeId};
 use proptest::prelude::*;
 
-/// Splits a global labeling into the per-node outputs each node would emit
-/// (agreeing by construction, since they come from one labeling).
-fn split<L: Clone>(g: &Graph, lab: &Labeling<L>) -> Vec<NodeLocalOutput<L>> {
-    g.nodes()
-        .map(|v| NodeLocalOutput {
-            node: lab.node(v).clone(),
-            halves: g.ports(v).iter().map(|&h| lab.half(h).clone()).collect(),
-            edges: g.ports(v).iter().map(|h| lab.edge(h.edge()).clone()).collect(),
-        })
-        .collect()
+/// Reassembles a global labeling from the per-node outputs each node would
+/// emit (agreeing by construction, since they come from one labeling).
+fn split_and_assemble<L: Clone + Eq>(
+    g: &Graph,
+    lab: &Labeling<L>,
+) -> Result<Labeling<L>, AssembleError> {
+    assemble(
+        g,
+        |v| lab.node(v).clone(),
+        |v, p| {
+            let h = g.ports(v)[p];
+            (lab.half(h).clone(), lab.edge(h.edge()).clone())
+        },
+    )
 }
 
 /// The assemble → check roundtrip: splitting any output labeling into
@@ -32,7 +36,7 @@ fn roundtrip_holds<P: NeLcl>(
 where
     P::Out: Eq,
 {
-    let assembled = assemble(g, &split(g, out)).expect("splits agree by construction");
+    let assembled = split_and_assemble(g, out).expect("splits agree by construction");
     prop_assert_eq!(&assembled, out, "split + assemble must be the identity");
     prop_assert_eq!(check(p, g, input, out), check(p, g, input, &assembled));
     Ok(())
@@ -55,15 +59,15 @@ proptest! {
     fn assemble_roundtrips_agreeing_outputs(n in 2usize..20, seed in 0u64..100) {
         let g = gen::random_regular_multigraph(n * 2, 3, seed).unwrap();
         // Build agreeing outputs: edge label = edge id, half = id·2+side.
-        let outs: Vec<NodeLocalOutput<u32>> = g
-            .nodes()
-            .map(|v| NodeLocalOutput {
-                node: v.0,
-                halves: g.ports(v).iter().map(|h| h.edge().0 * 2 + h.side().index() as u32).collect(),
-                edges: g.ports(v).iter().map(|h| h.edge().0).collect(),
-            })
-            .collect();
-        let lab = assemble(&g, &outs).expect("agreeing");
+        let lab = assemble(
+            &g,
+            |v| v.0,
+            |v, p| {
+                let h = g.ports(v)[p];
+                (h.edge().0 * 2 + h.side().index() as u32, h.edge().0)
+            },
+        )
+        .expect("agreeing");
         for v in g.nodes() {
             prop_assert_eq!(*lab.node(v), v.0);
         }
@@ -78,24 +82,17 @@ proptest! {
     #[test]
     fn any_single_disagreement_is_rejected(n in 2usize..12, k in 0usize..50, seed in 0u64..50) {
         let g = gen::random_regular_multigraph(n * 2, 3, seed).unwrap();
-        let mut outs: Vec<NodeLocalOutput<u32>> = g
-            .nodes()
-            .map(|v| NodeLocalOutput {
-                node: 0,
-                halves: vec![0; g.degree(v)],
-                edges: vec![7; g.degree(v)],
-            })
-            .collect();
         // Flip one edge proposal at one port of one node.
         let v = NodeId((k % g.node_count()) as u32);
         if g.degree(v) == 0 {
             return Ok(());
         }
         let port = k % g.degree(v);
-        // Skip self-loop double ports where the node would disagree with
-        // itself only if both slots differ — flipping one slot suffices.
-        outs[v.index()].edges[port] = 8;
-        prop_assert!(assemble(&g, &outs).is_err());
+        // A self-loop's two ports both propose for one edge: flipping one
+        // of them suffices.
+        let flipped = g.ports(v)[port].edge();
+        let res = assemble(&g, |_| 0u32, |u, p| (0, if (u, p) == (v, port) { 8 } else { 7 }));
+        prop_assert_eq!(res, Err(AssembleError::EdgeDisagreement { edge: flipped }));
     }
 
     #[test]

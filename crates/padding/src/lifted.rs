@@ -194,37 +194,35 @@ pub(crate) fn gadget_components<I: Clone + std::fmt::Debug>(
     input: &Labeling<PadIn<I>>,
     violations: &mut Vec<Violation>,
 ) -> (Vec<GadComponent>, Vec<u32>) {
+    // While a component is built, `comp_of` holds each member's index in
+    // the component (which also marks it as visited); then its id.
     let mut comp_of = vec![u32::MAX; g.node_count()];
     let mut comps = Vec::new();
     for start in g.nodes() {
         if comp_of[start.index()] != u32::MAX {
             continue;
         }
-        let cid = comps.len() as u32;
-        let mut nodes = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        comp_of[start.index()] = cid;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            nodes.push(v);
+        // Breadth-first over `GadEdge`s: `nodes` is the queue, and at the
+        // end the discovery order.
+        let mut nodes = vec![start];
+        comp_of[start.index()] = 0;
+        let mut head = 0;
+        while let Some(&v) = nodes.get(head) {
+            head += 1;
             for &h in g.ports(v) {
                 if input.edge(h.edge()).port_edge {
                     continue;
                 }
                 let w = g.half_edge_peer(h);
                 if comp_of[w.index()] == u32::MAX {
-                    comp_of[w.index()] = cid;
-                    queue.push_back(w);
+                    comp_of[w.index()] = nodes.len() as u32;
+                    nodes.push(w);
                 }
             }
         }
         // Build the standalone subgraph with only GadEdges.
         let mut sub = Graph::with_capacity(nodes.len(), 0);
-        let mut to_local = std::collections::HashMap::new();
-        for (i, &v) in nodes.iter().enumerate() {
-            sub.add_node();
-            to_local.insert(v, NodeId(i as u32));
-        }
+        sub.add_nodes(nodes.len());
         let mut node_labels = Vec::with_capacity(nodes.len());
         for &v in &nodes {
             let lab = match input.node(v).gadget {
@@ -244,29 +242,33 @@ pub(crate) fn gadget_components<I: Clone + std::fmt::Debug>(
         }
         let mut edge_labels = Vec::new();
         let mut half_labels = Vec::new();
-        let mut seen_edge = std::collections::HashSet::new();
         for &v in &nodes {
             for &h in g.ports(v) {
-                if input.edge(h.edge()).port_edge || !seen_edge.insert(h.edge()) {
+                let e = h.edge();
+                if input.edge(e).port_edge {
                     continue;
                 }
-                let [a, b] = g.endpoints(h.edge());
-                sub.add_edge(to_local[&a], to_local[&b]);
+                // Each GadEdge is added at the first of its two ports in
+                // discovery order: at the endpoint discovered first, or at
+                // the lower port of a self-loop.
+                let (here, peer) = (comp_of[v.index()], comp_of[g.half_edge_peer(h).index()]);
+                if here > peer || (here == peer && g.port_of(h) > g.peer_port(h)) {
+                    continue;
+                }
+                let [a, b] = g.endpoints(e);
+                sub.add_edge(NodeId(comp_of[a.index()]), NodeId(comp_of[b.index()]));
                 edge_labels.push(GadgetIn::Edge);
                 let mut hl = [GadgetIn::Edge; 2];
                 for (slot, side) in [(0usize, Side::A), (1, Side::B)] {
-                    let he = HalfEdge::new(h.edge(), side);
+                    let he = HalfEdge::new(e, side);
                     hl[slot] = match input.half(he).gadget {
                         Some(gi @ GadgetIn::Half { .. }) => gi,
                         other => {
                             violations.push(Violation::Edge(
-                                h.edge(),
+                                e,
                                 format!("input: half carries gadget label {other:?}"),
                             ));
-                            GadgetIn::Half {
-                                dir: lcl_gadget::Dir::Up,
-                                color: u32::MAX - h.edge().0,
-                            }
+                            GadgetIn::Half { dir: lcl_gadget::Dir::Up, color: u32::MAX - e.0 }
                         }
                     };
                 }
@@ -274,6 +276,10 @@ pub(crate) fn gadget_components<I: Clone + std::fmt::Debug>(
             }
         }
         let sub_input = Labeling::from_parts(node_labels, edge_labels, half_labels);
+        let cid = comps.len() as u32;
+        for &v in &nodes {
+            comp_of[v.index()] = cid;
+        }
         comps.push(GadComponent { nodes, sub, sub_input });
     }
     (comps, comp_of)
@@ -607,5 +613,170 @@ mod tests {
     fn padded_problem_reports_delta() {
         let p = PaddedProblem::new(SinklessInner::new(), 5);
         assert_eq!(p.delta(), 5);
+    }
+
+    /// `gadget_components` as written with a per-component `HashMap` from
+    /// host to local node and a `HashSet` of added edges: the reference
+    /// for the table-based version.
+    fn reference_components<I: Clone + std::fmt::Debug>(
+        g: &Graph,
+        input: &Labeling<PadIn<I>>,
+        violations: &mut Vec<Violation>,
+    ) -> (Vec<GadComponent>, Vec<u32>) {
+        let mut comp_of = vec![u32::MAX; g.node_count()];
+        let mut comps = Vec::new();
+        for start in g.nodes() {
+            if comp_of[start.index()] != u32::MAX {
+                continue;
+            }
+            let cid = comps.len() as u32;
+            let mut nodes = Vec::new();
+            let mut queue = std::collections::VecDeque::new();
+            comp_of[start.index()] = cid;
+            queue.push_back(start);
+            while let Some(v) = queue.pop_front() {
+                nodes.push(v);
+                for &h in g.ports(v) {
+                    if input.edge(h.edge()).port_edge {
+                        continue;
+                    }
+                    let w = g.half_edge_peer(h);
+                    if comp_of[w.index()] == u32::MAX {
+                        comp_of[w.index()] = cid;
+                        queue.push_back(w);
+                    }
+                }
+            }
+            let mut sub = Graph::with_capacity(nodes.len(), 0);
+            let mut to_local = std::collections::HashMap::new();
+            for (i, &v) in nodes.iter().enumerate() {
+                sub.add_node();
+                to_local.insert(v, NodeId(i as u32));
+            }
+            let mut node_labels = Vec::with_capacity(nodes.len());
+            for &v in &nodes {
+                let lab = match input.node(v).gadget {
+                    Some(gi @ GadgetIn::Node { .. }) => gi,
+                    other => {
+                        violations.push(Violation::Node(
+                            v,
+                            format!("input: node carries gadget label {other:?}"),
+                        ));
+                        GadgetIn::Node {
+                            kind: NodeKind::Tree { index: 1, port: false },
+                            color: u32::MAX - v.0,
+                        }
+                    }
+                };
+                node_labels.push(lab);
+            }
+            let mut edge_labels = Vec::new();
+            let mut half_labels = Vec::new();
+            let mut seen_edge = std::collections::HashSet::new();
+            for &v in &nodes {
+                for &h in g.ports(v) {
+                    if input.edge(h.edge()).port_edge || !seen_edge.insert(h.edge()) {
+                        continue;
+                    }
+                    let [a, b] = g.endpoints(h.edge());
+                    sub.add_edge(to_local[&a], to_local[&b]);
+                    edge_labels.push(GadgetIn::Edge);
+                    let mut hl = [GadgetIn::Edge; 2];
+                    for (slot, side) in [(0usize, Side::A), (1, Side::B)] {
+                        let he = HalfEdge::new(h.edge(), side);
+                        hl[slot] = match input.half(he).gadget {
+                            Some(gi @ GadgetIn::Half { .. }) => gi,
+                            other => {
+                                violations.push(Violation::Edge(
+                                    h.edge(),
+                                    format!("input: half carries gadget label {other:?}"),
+                                ));
+                                GadgetIn::Half { dir: Dir::Up, color: u32::MAX - h.edge().0 }
+                            }
+                        };
+                    }
+                    half_labels.push(hl);
+                }
+            }
+            let sub_input = Labeling::from_parts(node_labels, edge_labels, half_labels);
+            comps.push(GadComponent { nodes, sub, sub_input });
+        }
+        (comps, comp_of)
+    }
+
+    /// Asserts that `gadget_components` equals the reference on `input`:
+    /// the same components, subgraphs, gadget inputs and violations.
+    /// Returns the number of violations.
+    fn assert_components_match(g: &Graph, input: &Labeling<PadIn<()>>, what: &str) -> usize {
+        let (mut got_viol, mut want_viol) = (Vec::new(), Vec::new());
+        let (got, got_of) = gadget_components(g, input, &mut got_viol);
+        let (want, want_of) = reference_components(g, input, &mut want_viol);
+        assert_eq!(got_of, want_of, "{what}: component of each node");
+        assert_eq!(got.len(), want.len(), "{what}: component count");
+        for (c, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a.nodes, b.nodes, "{what}: component {c} discovery order");
+            assert_eq!(a.sub, b.sub, "{what}: component {c} subgraph");
+            assert_eq!(a.sub_input, b.sub_input, "{what}: component {c} gadget input");
+        }
+        assert_eq!(got_viol, want_viol, "{what}: violations");
+        got_viol.len()
+    }
+
+    #[test]
+    fn gadget_components_match_the_hashing_reference() {
+        use crate::hard::{corrupt_gadgets, hard_pi2_instance};
+        for seed in 0..3 {
+            let mut inst = hard_pi2_instance(1_500, 3, seed);
+            assert_eq!(assert_components_match(&inst.graph, &inst.input, "intact"), 0);
+            corrupt_gadgets(&mut inst, &[0, 3, 5, 8], seed);
+            assert_eq!(assert_components_match(&inst.graph, &inst.input, "corrupted"), 0);
+
+            // Malformed gadget labels: a node without a node label, a node
+            // carrying a half label, a half without a half label, and a
+            // PortEdge retagged as a GadEdge, which merges two gadgets and
+            // brings its two unlabeled halves into the merged component.
+            let g = &inst.graph;
+            let input = &mut inst.input;
+            let v = NodeId(seed as u32 * 7);
+            input.node_mut(v).gadget = None;
+            let w = NodeId(seed as u32 * 7 + 40);
+            input.node_mut(w).gadget = Some(GadgetIn::Half { dir: Dir::Up, color: 1 });
+            let gad_edge = g.edges().find(|&e| !input.edge(e).port_edge).expect("a GadEdge");
+            input.half_mut(HalfEdge::new(gad_edge, Side::B)).gadget = None;
+            let port_edge =
+                g.edges().filter(|&e| input.edge(e).port_edge).last().expect("a PortEdge");
+            input.edge_mut(port_edge).port_edge = false;
+            assert!(assert_components_match(g, input, "malformed labels") >= 5);
+        }
+    }
+
+    #[test]
+    fn gadget_components_match_the_hashing_reference_on_loops_and_parallel_edges() {
+        // Gadget edges 0–1 (twice, once each way), a loop at 2, 1–2 and a
+        // loop at 3; 2–3 is the only PortEdge. Node 3 and one half of the
+        // loop at 2 carry no gadget label.
+        let mut g = Graph::new();
+        g.add_nodes(4);
+        let edges = [(0, 1), (2, 2), (1, 0), (1, 2), (2, 3), (3, 3)];
+        for (a, b) in edges {
+            g.add_edge(NodeId(a), NodeId(b));
+        }
+        let node = |v: NodeId| PadIn {
+            pi: (),
+            gadget: (v.0 != 3).then_some(GadgetIn::Node {
+                kind: NodeKind::Tree { index: 1, port: false },
+                color: v.0,
+            }),
+            port_edge: false,
+        };
+        let edge = |e: lcl_graph::EdgeId| PadIn { pi: (), gadget: None, port_edge: e.0 == 4 };
+        let half = |h: HalfEdge| PadIn {
+            pi: (),
+            gadget: (h != HalfEdge::new(lcl_graph::EdgeId(1), Side::B))
+                .then_some(GadgetIn::Half { dir: Dir::Up, color: h.edge().0 }),
+            port_edge: h.edge().0 == 4,
+        };
+        let input = Labeling::build(&g, node, edge, half);
+        assert_eq!(assert_components_match(&g, &input, "loops and parallel edges"), 2);
     }
 }
