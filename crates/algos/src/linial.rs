@@ -113,9 +113,10 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
     let delta = net.max_degree().max(1) as u64;
 
     // Colors start as identifiers (unique ⇒ proper), in an id space of at
-    // least the announced `n`.
+    // least the announced `n`. The space is counted in `u128`: an id of
+    // `u64::MAX` makes it 2⁶⁴. After one Linial step it is `q² < 2⁶⁴`.
     let mut colors: Vec<u64> = g.nodes().map(|v| net.id_of(v)).collect();
-    let mut k: u64 = colors.iter().copied().max().unwrap_or(0).max(net.known_n() as u64) + 1;
+    let mut k = u128::from(colors.iter().copied().max().unwrap_or(0).max(net.known_n() as u64)) + 1;
     let mut reduction_rounds = 0;
 
     while let Some(q) = linial_prime(k, delta) {
@@ -143,14 +144,14 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
                 })
                 .expect("q > Δ(d-1) guarantees a free point")
         });
-        k = q * q;
+        k = u128::from(q * q);
         reduction_rounds += 1;
     }
 
     // Color-class elimination down to Δ + 1, one class per round from the
     // top, simulated in one descending pass (see the module doc).
     let target = delta + 1;
-    let elimination_rounds = u32::try_from(k.saturating_sub(target))
+    let elimination_rounds = u32::try_from(k.saturating_sub(u128::from(target)))
         .map_err(|_| AlgoError::RoundCapExceeded { algo: "linial", cap: u32::MAX })?;
     let mut order: Vec<(u64, lcl_graph::NodeId)> =
         g.nodes().map(|v| (colors[v.index()], v)).filter(|&(c, _)| c >= target).collect();
@@ -194,11 +195,11 @@ pub fn try_run_with<X: NodeExecutor>(net: &Network, exec: &X) -> Result<LinialOu
 }
 
 /// Number of base-`q` digits needed for values below `k`.
-fn digits(k: u64, q: u64) -> u32 {
+fn digits(k: u128, q: u64) -> u32 {
     let mut d = 1;
-    let mut cap = q;
+    let mut cap = u128::from(q);
     while cap < k {
-        cap = cap.saturating_mul(q);
+        cap = cap.saturating_mul(u128::from(q));
         d += 1;
     }
     d
@@ -206,10 +207,10 @@ fn digits(k: u64, q: u64) -> u32 {
 
 /// The smallest prime `q` with `q > Δ·(d-1)` (where `d = digits(k, q)`) and
 /// `q² < k`; `None` once no prime makes progress.
-fn linial_prime(k: u64, delta: u64) -> Option<u64> {
+fn linial_prime(k: u128, delta: u64) -> Option<u64> {
     let mut q = 2;
     loop {
-        if u128::from(q) * u128::from(q) >= u128::from(k) {
+        if u128::from(q) * u128::from(q) >= k {
             return None;
         }
         if is_prime(q) {
@@ -324,6 +325,19 @@ mod tests {
             .with_announced_max_degree(1 << 17);
         let err = try_run_with(&net, &Sequential).unwrap_err();
         assert_eq!(err, AlgoError::RoundCapExceeded { algo: "linial", cap: u32::MAX });
+    }
+
+    #[test]
+    fn largest_id_colors_properly() {
+        // The id space of `u64::MAX` is 2⁶⁴ colors. Linial steps take it
+        // to 29² = 841, 7² = 49 and 5² = 25 colors, and the 22 classes
+        // above the 3-color palette are eliminated.
+        let net = Network::with_ids(gen::path(3), vec![1, u64::MAX, 2]);
+        let out = try_run_with(&net, &Sequential).expect("loopless");
+        assert!(out.colors.iter().all(|&c| c < 3), "colors {:?}", out.colors);
+        let input = L::uniform(net.graph(), ());
+        check(&VertexColoring::new(3), net.graph(), &input, &out.labeling).expect_ok();
+        assert_eq!((out.reduction_rounds, out.elimination_rounds), (3, 22));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 /// Messages of the protocol.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Msg {
     /// An undecided node's current priority draw (with its id as a
     /// symmetric tiebreaker).
@@ -86,7 +86,7 @@ impl RoundAlgorithm for DistributedLuby {
         }
     }
 
-    fn send(&self, state: &State, ctx: &NodeCtx) -> Vec<(usize, Msg)> {
+    fn send(&self, state: &State, ctx: &NodeCtx, mut out: impl FnMut(usize, Msg)) {
         let msg = match (state.phase, state.status) {
             (Phase::Exchange, Status::Undecided) => {
                 Msg::Priority(state.priority.0, state.priority.1)
@@ -96,19 +96,20 @@ impl RoundAlgorithm for DistributedLuby {
                 // Still competing but with nothing to announce: one
                 // keep-alive keeps this node on the active frontier (its
                 // Resolve step redraws the priority and flips the phase).
-                return vec![(0, Msg::Active)];
+                out(0, Msg::Active);
+                return;
             }
             // Decided nodes are silent — they leave the frontier.
-            _ => return Vec::new(),
+            _ => return,
         };
-        (0..ctx.degree).map(|p| (p, msg.clone())).collect()
+        (0..ctx.degree).for_each(|p| out(p, msg));
     }
 
-    fn receive(
+    fn receive<'m>(
         &self,
         state: &mut State,
         _ctx: &NodeCtx,
-        inbox: &[(usize, Msg)],
+        mut inbox: impl Iterator<Item = (usize, &'m Msg)>,
         rng: &mut ChaCha8Rng,
     ) {
         // Decided nodes are inert (sparse-execution contract): state
@@ -120,8 +121,8 @@ impl RoundAlgorithm for DistributedLuby {
             Phase::Exchange => {
                 let mut is_min = true;
                 for (_port, msg) in inbox {
-                    if let Msg::Priority(p, id) = msg {
-                        if (*p, *id) < state.priority {
+                    if let &Msg::Priority(p, id) = msg {
+                        if (p, id) < state.priority {
                             is_min = false;
                         }
                     }
@@ -133,9 +134,9 @@ impl RoundAlgorithm for DistributedLuby {
             Phase::Resolve => {
                 if state.tentative_join {
                     state.status = Status::In;
-                } else if let Some((port, _)) = inbox.iter().find(|(_, m)| *m == Msg::Joined) {
+                } else if let Some((port, _)) = inbox.find(|(_, m)| **m == Msg::Joined) {
                     state.status = Status::Out;
-                    state.dominator_port = Some(*port);
+                    state.dominator_port = Some(port);
                 }
                 state.tentative_join = false;
                 state.priority = (rng.gen(), state.priority.1);

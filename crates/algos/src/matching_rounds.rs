@@ -26,6 +26,14 @@
 //! whenever they have no real message to send. Activity therefore
 //! collapses onto the undecided frontier — what the event-driven engine
 //! exploits in late rounds.
+//!
+//! A node's state has one fixed size and is never reallocated: ports are
+//! `Option<u32>`, and the ports still available are a bitset held in one
+//! inline word up to 64 ports and in boxed words beyond. A proposer draws
+//! a coin and then an index `k` among its `c` available ports
+//! (`gen_range(0..c)`), and proposes on the `k`-th available port in
+//! ascending order, read off the bitset. `send` writes its messages
+//! through the engine's sink, and `receive` reads its inbox in place.
 
 use crate::error::AlgoError;
 use lcl_core::problems::MatchingLabel;
@@ -35,7 +43,7 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 /// Messages of the handshake protocol.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Msg {
     /// Proposal with the sender's current priority.
     Propose(u64),
@@ -56,22 +64,88 @@ enum Phase {
     Accept,
 }
 
-/// Per-node protocol state.
+/// Per-node protocol state, of one fixed size whatever the degree up to 64.
+/// Ports fit in `u32`: the graph numbers its half-edges in `u32`.
 pub struct State {
     phase: Phase,
-    matched_port: Option<usize>,
+    matched_port: Option<u32>,
     done: bool,
     /// `Some(port)` while acting as a proposer this phase.
-    proposal_port: Option<usize>,
+    proposal_port: Option<u32>,
     /// True while acting as an acceptor this phase.
     acceptor: bool,
     /// The port accepted this phase (acceptor side), to be announced.
-    accepted_port: Option<usize>,
+    accepted_port: Option<u32>,
     /// True from the receive that set `done` until the following receive:
     /// the window in which the one-shot `Retired` announcement goes out.
     retire_pending: bool,
-    available: Vec<bool>,
+    /// The ports whose neighbor has not announced `Retired`.
+    available: Ports,
     priority: u64,
+}
+
+/// A set of ports, one bit each (port `p` is bit `p % 64` of word
+/// `p / 64`): one inline word up to 64 ports, boxed words beyond. Every
+/// query runs on the [`Ports::words`] view.
+enum Ports {
+    Inline(u64),
+    Boxed(Box<[u64]>),
+}
+
+impl Ports {
+    /// Every port in `0..degree`.
+    fn all(degree: usize) -> Ports {
+        // The lowest `bits` bits set, for `bits` in `0..=64`.
+        let low = |bits: usize| u64::MAX.checked_shr(64 - bits as u32).unwrap_or(0);
+        if degree <= 64 {
+            return Ports::Inline(low(degree));
+        }
+        let mut words = vec![u64::MAX; degree.div_ceil(64)].into_boxed_slice();
+        let last = words.len() - 1;
+        words[last] = low(degree - 64 * last);
+        Ports::Boxed(words)
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            Ports::Inline(word) => std::slice::from_ref(word),
+            Ports::Boxed(words) => words,
+        }
+    }
+
+    fn remove(&mut self, port: usize) {
+        let words = match self {
+            Ports::Inline(word) => std::slice::from_mut(word),
+            Ports::Boxed(words) => words,
+        };
+        words[port / 64] &= !(1 << (port % 64));
+    }
+
+    fn count(&self) -> usize {
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The lowest port in the set.
+    fn first(&self) -> Option<usize> {
+        let (i, w) = self.words().iter().enumerate().find(|&(_, &w)| w != 0)?;
+        Some(i * 64 + w.trailing_zeros() as usize)
+    }
+
+    /// The `k`-th lowest port in the set (from 0); `k < self.count()`.
+    fn nth(&self, mut k: usize) -> usize {
+        for (i, &w) in self.words().iter().enumerate() {
+            let ones = w.count_ones() as usize;
+            if k < ones {
+                let mut w = w;
+                for _ in 0..k {
+                    w &= w - 1;
+                }
+                return i * 64 + w.trailing_zeros() as usize;
+            }
+            k -= ones;
+        }
+        unreachable!("k is below the number of ports in the set")
+    }
 }
 
 /// The distributed handshake-matching algorithm.
@@ -79,16 +153,17 @@ pub struct State {
 pub struct DistributedMatching;
 
 /// Draws the node's role for the next phase: proposer on a random
-/// available port, or acceptor.
-fn draw_role(state: &mut State, degree: usize, rng: &mut ChaCha8Rng) {
+/// available port, or acceptor. A proposer draws a coin, then the index of
+/// its port among the available ones in ascending order.
+fn draw_role(state: &mut State, rng: &mut ChaCha8Rng) {
     state.proposal_port = None;
     state.acceptor = false;
     if state.done {
         return;
     }
-    let open: Vec<usize> = (0..degree).filter(|&p| state.available[p]).collect();
-    if !open.is_empty() && rng.gen_bool(0.5) {
-        state.proposal_port = Some(open[rng.gen_range(0..open.len())]);
+    let open = state.available.count();
+    if open > 0 && rng.gen_bool(0.5) {
+        state.proposal_port = Some(state.available.nth(rng.gen_range(0..open)) as u32);
     } else {
         state.acceptor = true;
     }
@@ -99,7 +174,7 @@ fn draw_role(state: &mut State, degree: usize, rng: &mut ChaCha8Rng) {
 /// neighbor retired (the keep-alive then only keeps *this* node scheduled
 /// long enough for its all-gone self-retirement).
 fn keepalive_port(state: &State) -> usize {
-    state.available.iter().position(|&a| a).unwrap_or(0)
+    state.available.first().unwrap_or(0)
 }
 
 impl RoundAlgorithm for DistributedMatching {
@@ -116,52 +191,41 @@ impl RoundAlgorithm for DistributedMatching {
             acceptor: false,
             accepted_port: None,
             retire_pending: false,
-            available: vec![true; ctx.degree],
+            available: Ports::all(ctx.degree),
             priority: rng.gen(),
         };
-        draw_role(&mut st, ctx.degree, rng);
+        draw_role(&mut st, rng);
         st
     }
 
-    fn send(&self, state: &State, ctx: &NodeCtx) -> Vec<(usize, Msg)> {
+    fn send(&self, state: &State, ctx: &NodeCtx, mut out: impl FnMut(usize, Msg)) {
         if state.done {
             // One-shot retirement announcement, then permanent silence. An
             // acceptor that just sealed a match couples the `Accept` to its
             // partner with the `Retired` peeling its other edges.
-            if !state.retire_pending {
-                return Vec::new();
-            }
-            return (0..ctx.degree)
-                .map(|p| {
-                    if state.accepted_port == Some(p) {
-                        (p, Msg::Accept)
-                    } else {
-                        (p, Msg::Retired)
-                    }
-                })
-                .collect();
-        }
-        match state.phase {
-            Phase::Propose => {
-                if let Some(port) = state.proposal_port {
-                    vec![(port, Msg::Propose(state.priority))]
-                } else {
-                    // Acceptors listen this round; the keep-alive keeps
-                    // them on the frontier so their phase advances.
-                    vec![(keepalive_port(state), Msg::Active)]
+            if state.retire_pending {
+                for p in 0..ctx.degree {
+                    let accepted = state.accepted_port == Some(p as u32);
+                    out(p, if accepted { Msg::Accept } else { Msg::Retired });
                 }
             }
-            // Accepting itself retires a node (handled above); every node
-            // still undecided here just keeps itself scheduled.
-            Phase::Accept => vec![(keepalive_port(state), Msg::Active)],
+            return;
+        }
+        match (state.phase, state.proposal_port) {
+            (Phase::Propose, Some(port)) => out(port as usize, Msg::Propose(state.priority)),
+            // Acceptors listen in the propose round; the keep-alive keeps
+            // them on the frontier so their phase advances. Accepting
+            // itself retires a node (handled above), so every node still
+            // undecided in the accept round just keeps itself scheduled.
+            _ => out(keepalive_port(state), Msg::Active),
         }
     }
 
-    fn receive(
+    fn receive<'m>(
         &self,
         state: &mut State,
-        ctx: &NodeCtx,
-        inbox: &[(usize, Msg)],
+        _ctx: &NodeCtx,
+        inbox: impl Iterator<Item = (usize, &'m Msg)>,
         rng: &mut ChaCha8Rng,
     ) {
         if state.done {
@@ -178,19 +242,17 @@ impl RoundAlgorithm for DistributedMatching {
                 // marks retired neighbors unavailable.
                 let mut best: Option<(u64, usize)> = None;
                 for (port, msg) in inbox {
-                    match msg {
-                        Msg::Retired => state.available[*port] = false,
-                        Msg::Propose(pr)
-                            if state.acceptor && best.is_none_or(|(b, _)| (*pr) < b) =>
-                        {
-                            best = Some((*pr, *port));
+                    match *msg {
+                        Msg::Retired => state.available.remove(port),
+                        Msg::Propose(pr) if state.acceptor && best.is_none_or(|(b, _)| pr < b) => {
+                            best = Some((pr, port));
                         }
                         _ => {}
                     }
                 }
                 if let Some((_, port)) = best {
-                    state.matched_port = Some(port);
-                    state.accepted_port = Some(port);
+                    state.matched_port = Some(port as u32);
+                    state.accepted_port = Some(port as u32);
                     state.done = true;
                     state.retire_pending = true;
                 }
@@ -202,23 +264,25 @@ impl RoundAlgorithm for DistributedMatching {
                         Msg::Accept
                             // Only my own proposal port can be accepted,
                             // and only one neighbor can hold it.
-                            if state.proposal_port == Some(*port) && state.matched_port.is_none() => {
-                                state.matched_port = Some(*port);
-                                state.done = true;
-                                state.retire_pending = true;
-                            }
-                        Msg::Retired => state.available[*port] = false,
+                            if state.proposal_port == Some(port as u32)
+                                && state.matched_port.is_none() =>
+                        {
+                            state.matched_port = Some(port as u32);
+                            state.done = true;
+                            state.retire_pending = true;
+                        }
+                        Msg::Retired => state.available.remove(port),
                         _ => {}
                     }
                 }
                 // If every neighbor is gone, retire unmatched.
-                if !state.done && state.available.iter().all(|&a| !a) {
+                if !state.done && state.available.count() == 0 {
                     state.done = true;
                     state.retire_pending = true;
                 }
                 if !state.done {
                     state.priority = rng.gen();
-                    draw_role(state, ctx.degree, rng);
+                    draw_role(state, rng);
                 }
                 state.phase = Phase::Propose;
             }
@@ -226,7 +290,7 @@ impl RoundAlgorithm for DistributedMatching {
     }
 
     fn output(&self, state: &State, _ctx: &NodeCtx) -> Option<Option<usize>> {
-        state.done.then_some(state.matched_port)
+        state.done.then(|| state.matched_port.map(|p| p as usize))
     }
 }
 

@@ -48,8 +48,10 @@ fn route_messages_baseline<M>(g: &Graph, outgoing: Vec<Vec<(usize, M)>>) -> Vec<
     inboxes
 }
 
-/// The pre-CSR sequential round engine, verbatim (same RNG streams, so its
-/// outcome is bit-identical to [`run_rounds`] — asserted below).
+/// The pre-CSR sequential round engine, verbatim but for the message API:
+/// each node's sink collects its messages into a fresh `Vec`, and each
+/// `receive` borrows its inbox from the routed `Vec`s (same RNG streams,
+/// so its outcome is bit-identical to [`run_rounds`] — asserted below).
 fn run_rounds_baseline<A: RoundAlgorithm>(
     net: &Network,
     alg: &A,
@@ -80,14 +82,19 @@ fn run_rounds_baseline<A: RoundAlgorithm>(
     let mut rounds = 0;
     let mut completed = all_decided(&states, &ctxs);
     while !completed && rounds < max_rounds {
-        let outgoing: Vec<Vec<(usize, A::Msg)>> =
-            (0..n).map(|i| alg.send(&states[i], &ctxs[i])).collect();
+        let outgoing: Vec<Vec<(usize, A::Msg)>> = (0..n)
+            .map(|i| {
+                let mut msgs = Vec::new();
+                alg.send(&states[i], &ctxs[i], |port, msg| msgs.push((port, msg)));
+                msgs
+            })
+            .collect();
         let inboxes = route_messages_baseline(g, outgoing);
         for v in g.nodes() {
             alg.receive(
                 &mut states[v.index()],
                 &ctxs[v.index()],
-                &inboxes[v.index()],
+                inboxes[v.index()].iter().map(|(port, msg)| (*port, msg)),
                 &mut rngs[v.index()],
             );
         }

@@ -56,19 +56,17 @@ impl RoundAlgorithm for SettledTail {
         TailState { is_beacon: ctx.id == 1, ticks: 0 }
     }
 
-    fn send(&self, state: &TailState, ctx: &NodeCtx) -> Vec<(usize, u32)> {
+    fn send(&self, state: &TailState, ctx: &NodeCtx, mut out: impl FnMut(usize, u32)) {
         if state.is_beacon && state.ticks < self.horizon {
-            (0..ctx.degree).map(|p| (p, state.ticks)).collect()
-        } else {
-            Vec::new()
+            (0..ctx.degree).for_each(|p| out(p, state.ticks));
         }
     }
 
-    fn receive(
+    fn receive<'m>(
         &self,
         state: &mut TailState,
         _c: &NodeCtx,
-        _i: &[(usize, u32)],
+        _i: impl Iterator<Item = (usize, &'m u32)>,
         _r: &mut ChaCha8Rng,
     ) {
         // Settled nodes are inert whatever the beacon showers on them; the

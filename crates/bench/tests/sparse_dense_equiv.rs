@@ -7,10 +7,10 @@
 //! same `completed`, same undecided attribution. Both are policies of one
 //! engine, so every case is also checked against an independent naive
 //! reference engine kept in this file. The suite sweeps the six-family
-//! generator zoo, multigraphs, self-loops, and instances whose frontier
-//! spans several pooled chunks, under both the sequential engine and the
-//! pooled executor (the CI determinism job re-runs it with
-//! `LCL_POOL_THREADS` pinned).
+//! generator zoo plus a hub of degree above 64, multigraphs, self-loops,
+//! and instances whose frontier spans several pooled chunks, under both
+//! the sequential engine and the pooled executor (the CI determinism job
+//! re-runs it with `LCL_POOL_THREADS` pinned).
 
 use lcl_algos::luby_rounds::DistributedLuby;
 use lcl_algos::matching_rounds::DistributedMatching;
@@ -26,10 +26,11 @@ use rand_chacha::ChaCha8Rng;
 
 /// The independent routing oracle: a naive engine shaped like the pre-CSR
 /// `run_rounds_baseline` that `benches/rounds.rs` keeps. Every round it
-/// runs every node, routes each message into fresh nested per-node
-/// inboxes with `Graph::peer_port`, and sorts each inbox by port. It
-/// shares no routing code with `lcl_local`, so agreeing with it checks the
-/// port plane rather than the plane against itself.
+/// runs every node, routes each message its sink receives into fresh
+/// nested per-node inboxes with `Graph::peer_port`, sorts each inbox by
+/// port, and lends it to `receive` from those plain `Vec`s. It shares no
+/// routing code with `lcl_local`, so agreeing with it checks the port
+/// plane rather than the plane against itself.
 fn run_rounds_reference<A: RoundAlgorithm>(
     net: &Network,
     alg: &A,
@@ -61,13 +62,14 @@ fn run_rounds_reference<A: RoundAlgorithm>(
         let mut inboxes: Vec<Vec<(usize, A::Msg)>> = Vec::new();
         inboxes.resize_with(g.node_count(), Vec::new);
         for v in g.nodes() {
-            for (port, msg) in alg.send(&states[v.index()], &ctxs[v.index()]) {
+            alg.send(&states[v.index()], &ctxs[v.index()], |port, msg| {
                 let h = g.half_edge_at_port(v, port).expect("valid port");
                 inboxes[g.half_edge_peer(h).index()].push((g.peer_port(h), msg));
-            }
+            });
         }
         for (v, inbox) in inboxes.iter_mut().enumerate() {
             inbox.sort_by_key(|&(port, _)| port);
+            let inbox = inbox.iter().map(|(port, msg)| (*port, msg));
             alg.receive(&mut states[v], &ctxs[v], inbox, &mut rngs[v]);
         }
         rounds += 1;
@@ -111,7 +113,8 @@ where
 }
 
 /// One instance per generator-zoo family, sized and seeded from proptest
-/// inputs.
+/// inputs, plus a hub of degree above 64 (so the matching state's port
+/// set spills past one inline word) whose leaves are paired by edges.
 fn zoo_graph(family: usize, size: usize, seed: u64) -> (&'static str, Graph) {
     match family {
         0 => {
@@ -126,6 +129,14 @@ fn zoo_graph(family: usize, size: usize, seed: u64) -> (&'static str, Graph) {
             ("3reg", gen::random_regular(n, 3, seed).expect("even n >= 4 is generable"))
         }
         5 => ("torus", gen::torus(size / 4 + 2, 4)),
+        6 => {
+            let leaves = 64 + size;
+            let mut g = gen::star(leaves);
+            for leaf in (1..leaves as u32).step_by(2) {
+                g.add_edge(NodeId(leaf), NodeId(leaf + 1));
+            }
+            ("hub", g)
+        }
         _ => unreachable!("family selector out of range"),
     }
 }
@@ -135,7 +146,7 @@ proptest! {
 
     #[test]
     fn luby_sparse_equals_dense_across_zoo(
-        family in 0usize..6,
+        family in 0usize..7,
         size in 8usize..48,
         seed in 0u64..1000,
     ) {
@@ -146,7 +157,7 @@ proptest! {
 
     #[test]
     fn matching_sparse_equals_dense_across_zoo(
-        family in 0usize..6,
+        family in 0usize..7,
         size in 8usize..48,
         seed in 0u64..1000,
     ) {
@@ -243,24 +254,22 @@ impl RoundAlgorithm for PortTag {
         (0, Vec::new())
     }
 
-    fn send(&self, state: &Self::State, ctx: &NodeCtx) -> Vec<(usize, Self::Msg)> {
+    fn send(&self, state: &Self::State, ctx: &NodeCtx, mut out: impl FnMut(usize, Self::Msg)) {
         if state.0 < 3 {
-            (0..ctx.degree).map(|p| (p, (ctx.id, p, state.0))).collect()
-        } else {
-            Vec::new()
+            (0..ctx.degree).for_each(|p| out(p, (ctx.id, p, state.0)));
         }
     }
 
-    fn receive(
+    fn receive<'m>(
         &self,
         state: &mut Self::State,
         ctx: &NodeCtx,
-        inbox: &[(usize, Self::Msg)],
+        inbox: impl Iterator<Item = (usize, &'m Self::Msg)>,
         _r: &mut ChaCha8Rng,
     ) {
         // Only a node that sent this round advances: silent nodes are inert.
         if state.0 < 3 && ctx.degree > 0 {
-            state.1.extend(inbox.iter().map(|&(port, (id, from, round))| (port, id, from, round)));
+            state.1.extend(inbox.map(|(port, &(id, from, round))| (port, id, from, round)));
             state.0 += 1;
         }
     }
@@ -285,17 +294,25 @@ impl RoundAlgorithm for Misbehaver {
 
     fn init(&self, _ctx: &NodeCtx, _rng: &mut ChaCha8Rng) {}
 
-    fn send(&self, _state: &(), ctx: &NodeCtx) -> Vec<(usize, u64)> {
+    fn send(&self, _state: &(), ctx: &NodeCtx, mut out: impl FnMut(usize, u64)) {
         if !self.offenders.contains(&ctx.id) {
-            (0..ctx.degree).map(|p| (p, ctx.id)).collect()
+            (0..ctx.degree).for_each(|p| out(p, ctx.id));
         } else if self.bad_port {
-            vec![(ctx.degree, ctx.id)]
+            out(ctx.degree, ctx.id);
         } else {
-            vec![(0, ctx.id), (0, ctx.id)]
+            out(0, ctx.id);
+            out(0, ctx.id);
         }
     }
 
-    fn receive(&self, _s: &mut (), _c: &NodeCtx, _i: &[(usize, u64)], _r: &mut ChaCha8Rng) {}
+    fn receive<'m>(
+        &self,
+        _s: &mut (),
+        _c: &NodeCtx,
+        _i: impl Iterator<Item = (usize, &'m u64)>,
+        _r: &mut ChaCha8Rng,
+    ) {
+    }
 
     fn output(&self, _state: &(), _ctx: &NodeCtx) -> Option<u64> {
         None
@@ -343,24 +360,22 @@ impl RoundAlgorithm for Pulse {
         ctx.id % 7
     }
 
-    fn send(&self, state: &u64, ctx: &NodeCtx) -> Vec<(usize, u64)> {
+    fn send(&self, state: &u64, ctx: &NodeCtx, mut out: impl FnMut(usize, u64)) {
         if *state > 0 {
-            (0..ctx.degree).map(|p| (p, *state)).collect()
-        } else {
-            Vec::new()
+            (0..ctx.degree).for_each(|p| out(p, *state));
         }
     }
 
-    fn receive(
+    fn receive<'m>(
         &self,
         state: &mut u64,
         _ctx: &NodeCtx,
-        inbox: &[(usize, u64)],
+        inbox: impl Iterator<Item = (usize, &'m u64)>,
         _r: &mut ChaCha8Rng,
     ) {
         // A node that sent nothing (state 0) and heard nothing computes
         // max(0, 0) = 0: exactly the inertness the contract demands.
-        let heard = inbox.iter().map(|&(_, m)| m - 1).max().unwrap_or(0);
+        let heard = inbox.map(|(_, &m)| m - 1).max().unwrap_or(0);
         *state = heard.max(state.saturating_sub(1));
     }
 

@@ -21,14 +21,18 @@
 //!   synchronous message passing, for algorithms whose natural unit is the
 //!   round (the randomized propose/retry algorithms). One engine serves
 //!   every entry point. Messages travel through a **port plane**: each
-//!   node's outbox slots sit in node-major CSR order, the send phase writes
-//!   them and the receive phase pulls each inbox through a per-run table of
-//!   mated ports, both fanned across a [`NodeExecutor`] in node-contiguous
-//!   chunks. By default only the **active frontier** runs — nodes whose
-//!   closed neighborhood sent a message last round; the dense oracle
-//!   ([`run_rounds_dense`]) runs every node every round and is
-//!   bit-identical for algorithms honoring the
-//!   [sparse-execution contract](RoundAlgorithm#sparse-execution-contract).
+//!   node's outbox slots sit in node-major CSR order. In the send phase a
+//!   node's [`RoundAlgorithm::send`] writes each message through a sink
+//!   straight into its slot; in the receive phase
+//!   [`RoundAlgorithm::receive`] reads the node's inbox in port order as
+//!   an iterator that borrows the messages from the senders' slots,
+//!   through a per-run table of mated ports. Nothing is allocated or
+//!   copied per node or per message. Both phases fan out across a
+//!   [`NodeExecutor`] in node-contiguous chunks. By default only the
+//!   **active frontier** runs — nodes whose closed neighborhood sent a
+//!   message last round; the dense oracle ([`run_rounds_dense`]) runs
+//!   every node every round and is bit-identical for algorithms honoring
+//!   the [sparse-execution contract](RoundAlgorithm#sparse-execution-contract).
 //!
 //! Randomness is reproducible: every node draws from its own
 //! counter-mode RNG stream derived from `(run seed, node index)`.

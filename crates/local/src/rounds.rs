@@ -24,14 +24,19 @@
 //! a node-contiguous range, so `split_at_mut` hands each worker its own
 //! slots, states and outputs.
 //!
-//! 1. **Send:** each frontier node writes its `send` result into its own
-//!    slots and marks itself and its receivers in a bitmap (atomic OR); a
-//!    word scan then yields the next frontier in index order.
-//! 2. **Receive:** each node of that frontier pulls its inbox in port
+//! 1. **Send:** each frontier node's `send` writes every message through a
+//!    sink straight into the node's own outbox slot for that port. The
+//!    sink marks each receiver, and a node that sent marks itself, in a
+//!    bitmap (atomic OR); a word scan then yields the next frontier in
+//!    index order.
+//! 2. **Receive:** each node of that frontier reads its inbox in port
 //!    order through the per-run `mate` table (receiving port → the slot
-//!    feeding it), runs `receive` on its `(state, rng)` cell in place, and
-//!    is polled for its output in the same pass.
+//!    feeding it), as an iterator that borrows the live messages where
+//!    they lie, runs `receive` on its `(state, rng)` cell in place, and is
+//!    polled for its output in the same pass.
 //!
+//! No message is copied and nothing is allocated per node or per message:
+//! a message is moved once, from `send` into its slot, and read in place.
 //! Every node's RNG stream is its own, so outcomes are bit-identical under
 //! **any** executor.
 
@@ -61,9 +66,11 @@ pub struct NodeCtx {
 /// A synchronous message-passing algorithm.
 ///
 /// One round = every node computes its outgoing messages from its state
-/// ([`RoundAlgorithm::send`]), messages are delivered along edges (a message
-/// sent on port `p` arrives at the neighbor's port for the same edge), and
-/// every node updates its state from its inbox ([`RoundAlgorithm::receive`]).
+/// ([`RoundAlgorithm::send`], writing each one through the engine's sink),
+/// messages are delivered along edges (a message sent on port `p` arrives
+/// at the neighbor's port for the same edge), and every node updates its
+/// state from its inbox ([`RoundAlgorithm::receive`], an iterator over
+/// borrowed messages in port order).
 /// A node that returns an output from [`RoundAlgorithm::output`] is
 /// finished; the engine stops when all nodes are finished or the round cap
 /// is hit. Finished nodes keep participating in message exchange (their
@@ -79,8 +86,9 @@ pub struct NodeCtx {
 /// implementations must satisfy three properties:
 ///
 /// 1. **`send` is a pure function of `(state, ctx)`** — the signature
-///    already enforces this (no RNG, no `&mut`): a node whose state did
-///    not change resends exactly what it sent last round, or stays silent.
+///    already enforces this (no RNG, no `&mut` state; the sink only takes
+///    messages): a node whose state did not change resends exactly what it
+///    sent last round, or stays silent.
 /// 2. **Silent and deaf ⇒ inert.** In any round where a node sent no
 ///    messages *and* received none, its `receive` (which the dense oracle
 ///    still calls, with an empty inbox) must leave the state untouched and
@@ -98,28 +106,36 @@ pub struct NodeCtx {
 pub trait RoundAlgorithm {
     /// Per-node mutable state.
     type State;
-    /// Message type (unbounded size, per the model).
-    type Msg: Clone;
+    /// Message type (unbounded size, per the model). The engine moves each
+    /// message once, into the sender's outbox slot, and lends it to the
+    /// receiver from there; it never clones one.
+    type Msg;
     /// Per-node final output.
     type Output: Clone;
 
     /// Initial state of a node.
     fn init(&self, ctx: &NodeCtx, rng: &mut ChaCha8Rng) -> Self::State;
 
-    /// Messages to send this round, as `(port, message)` pairs. Ports must
-    /// be valid (`< ctx.degree`); at most one message per port.
-    fn send(&self, state: &Self::State, ctx: &NodeCtx) -> Vec<(usize, Self::Msg)>;
+    /// Sends this round's messages: one call `out(port, message)` per
+    /// message, in any port order. The engine's sink writes each message
+    /// straight into the node's outbox slot for `port`. Ports must be
+    /// valid (`< ctx.degree`), with at most one message per port; a node
+    /// that never calls `out` is silent this round.
+    fn send(&self, state: &Self::State, ctx: &NodeCtx, out: impl FnMut(usize, Self::Msg));
 
-    /// Digest this round's inbox: `(port, message)` pairs, in port order.
-    /// For a self-loop, a message sent on one of the loop's ports arrives on
-    /// the other.
-    fn receive(
+    /// Digests this round's inbox: `(port, message)` pairs in ascending
+    /// port order, one per port that received a message, each borrowing
+    /// the message where the sender's `send` left it. For a self-loop, a
+    /// message sent on one of the loop's ports arrives on the other. The
+    /// iterator is lazy: a `receive` that stops early skips the rest.
+    fn receive<'m>(
         &self,
         state: &mut Self::State,
         ctx: &NodeCtx,
-        inbox: &[(usize, Self::Msg)],
+        inbox: impl Iterator<Item = (usize, &'m Self::Msg)>,
         rng: &mut ChaCha8Rng,
-    );
+    ) where
+        Self::Msg: 'm;
 
     /// The node's output, once it has decided. Must be stable: after
     /// returning `Some`, later rounds must return the same value.
@@ -325,7 +341,8 @@ where
         let round = rounds + 1;
         let marking = (frontier == Frontier::Active).then_some(&marks[..]);
 
-        // Send: each frontier node fills its own outbox slots.
+        // Send: each frontier node writes through the sink into its own
+        // outbox slots.
         let starts: Vec<usize> =
             nodes.chunks(CHUNK).map(|c| plane.first[c[0] as usize] as usize).collect();
         let mut work: Vec<SendChunk<'_, A::Msg>> = nodes
@@ -337,34 +354,38 @@ where
             let base = plane.first[chunk.nodes[0] as usize] as usize;
             for &v in chunk.nodes {
                 let vi = v as usize;
-                let msgs = alg.send(&cells[vi].0, &ctx(vi));
-                if msgs.is_empty() {
-                    continue;
-                }
                 let first = plane.first[vi] as usize;
                 let own = &mut chunk.slots[first - base..][..plane.degree(vi)];
-                if let Some(marks) = marking {
-                    mark(marks, v);
-                }
-                for (port, msg) in msgs {
-                    let breach = match own.get_mut(port) {
+                let mut sent = false;
+                // The node's first breach; the sink drops what follows it.
+                let mut breach = None;
+                alg.send(&cells[vi].0, &ctx(vi), |port, msg| {
+                    sent = true;
+                    if breach.is_some() {
+                        return;
+                    }
+                    match own.get_mut(port) {
                         Some(slot) if slot.stamp != round => {
                             *slot = Slot { stamp: round, msg: Some(msg) };
                             if let Some(marks) = marking {
                                 mark(marks, plane.peer[first + port]);
                             }
-                            continue;
                         }
-                        Some(_) => "sent twice on port",
-                        None => "sent on invalid port",
-                    };
+                        Some(_) => breach = Some(("sent twice on port", port)),
+                        None => breach = Some(("sent on invalid port", port)),
+                    }
+                });
+                if let Some((what, port)) = breach {
                     chunk.violation = Some(format!(
-                        "algorithm violation: node {:?} (degree {}) {breach} {port} in round \
+                        "algorithm violation: node {:?} (degree {}) {what} {port} in round \
                          {round}",
                         NodeId(v),
                         plane.degree(vi),
                     ));
                     return;
+                }
+                if let (true, Some(marks)) = (sent, marking) {
+                    mark(marks, v);
                 }
             }
         });
@@ -377,7 +398,7 @@ where
             drain_marks(&mut marks, &mut nodes);
         }
 
-        // Receive: each node pulls its inbox and updates its cell in place.
+        // Receive: each node reads its inbox in place and updates its cell.
         let starts: Vec<usize> = nodes.chunks(CHUNK).map(|c| c[0] as usize).collect();
         let mut work: Vec<RecvChunk<'_, A::State, A::Output>> = nodes
             .chunks(CHUNK)
@@ -387,21 +408,18 @@ where
             .collect();
         exec.update_nodes(&mut work, |_, chunk| {
             let base = chunk.nodes[0] as usize;
-            let mut inbox = Vec::with_capacity(net.max_degree());
             for &v in chunk.nodes {
                 let vi = v as usize;
                 let first = plane.first[vi] as usize;
-                inbox.clear();
-                for (port, &s) in plane.mate[first..][..plane.degree(vi)].iter().enumerate() {
-                    let slot = &slots[s as usize];
-                    if slot.stamp == round {
-                        let msg = slot.msg.as_ref().expect("stamped slot holds a message");
-                        inbox.push((port, msg.clone()));
-                    }
-                }
+                let inbox = plane.mate[first..][..plane.degree(vi)].iter().enumerate().filter_map(
+                    |(port, &s)| {
+                        let slot = &slots[s as usize];
+                        slot.msg.as_ref().filter(|_| slot.stamp == round).map(|msg| (port, msg))
+                    },
+                );
                 let c = ctx(vi);
                 let (state, rng) = &mut chunk.cells[vi - base];
-                alg.receive(state, &c, &inbox, rng);
+                alg.receive(state, &c, inbox, rng);
                 let out = &mut chunk.outputs[vi - base];
                 if out.is_none() {
                     *out = alg.output(state, &c);
@@ -553,18 +571,18 @@ mod tests {
             FloodState { best: ctx.id, stable_for: 0 }
         }
 
-        fn send(&self, state: &FloodState, ctx: &NodeCtx) -> Vec<(usize, u64)> {
-            (0..ctx.degree).map(|p| (p, state.best)).collect()
+        fn send(&self, state: &FloodState, ctx: &NodeCtx, mut out: impl FnMut(usize, u64)) {
+            (0..ctx.degree).for_each(|p| out(p, state.best));
         }
 
-        fn receive(
+        fn receive<'m>(
             &self,
             state: &mut FloodState,
             _ctx: &NodeCtx,
-            inbox: &[(usize, u64)],
+            inbox: impl Iterator<Item = (usize, &'m u64)>,
             _rng: &mut ChaCha8Rng,
         ) {
-            let incoming = inbox.iter().map(|&(_, m)| m).max().unwrap_or(0);
+            let incoming = inbox.map(|(_, &m)| m).max().unwrap_or(0);
             if incoming > state.best {
                 state.best = incoming;
                 state.stable_for = 0;
@@ -633,10 +651,15 @@ mod tests {
         type Output = u64;
 
         fn init(&self, _ctx: &NodeCtx, _rng: &mut ChaCha8Rng) -> Self::State {}
-        fn send(&self, _s: &Self::State, _c: &NodeCtx) -> Vec<(usize, ())> {
-            Vec::new()
+        fn send(&self, _s: &Self::State, _c: &NodeCtx, _out: impl FnMut(usize, ())) {}
+        fn receive<'m>(
+            &self,
+            _s: &mut (),
+            _c: &NodeCtx,
+            _i: impl Iterator<Item = (usize, &'m ())>,
+            _r: &mut ChaCha8Rng,
+        ) {
         }
-        fn receive(&self, _s: &mut (), _c: &NodeCtx, _i: &[(usize, ())], _r: &mut ChaCha8Rng) {}
         fn output(&self, _s: &(), _c: &NodeCtx) -> Option<u64> {
             None
         }
@@ -667,19 +690,19 @@ mod tests {
             None
         }
 
-        fn send(&self, _state: &Self::State, ctx: &NodeCtx) -> Vec<(usize, u64)> {
-            (0..ctx.degree).map(|p| (p, ctx.id)).collect()
+        fn send(&self, _state: &Self::State, ctx: &NodeCtx, mut out: impl FnMut(usize, u64)) {
+            (0..ctx.degree).for_each(|p| out(p, ctx.id));
         }
 
-        fn receive(
+        fn receive<'m>(
             &self,
             state: &mut Self::State,
             _ctx: &NodeCtx,
-            inbox: &[(usize, u64)],
+            inbox: impl Iterator<Item = (usize, &'m u64)>,
             _rng: &mut ChaCha8Rng,
         ) {
             if state.is_none() {
-                *state = Some(inbox.iter().map(|&(_, m)| m).collect());
+                *state = Some(inbox.map(|(_, &m)| m).collect());
             }
         }
 
@@ -715,18 +738,18 @@ mod tests {
             None
         }
 
-        fn send(&self, _state: &Self::State, ctx: &NodeCtx) -> Vec<(usize, usize)> {
-            (0..ctx.degree).map(|p| (p, p)).collect()
+        fn send(&self, _state: &Self::State, ctx: &NodeCtx, mut out: impl FnMut(usize, usize)) {
+            (0..ctx.degree).for_each(|p| out(p, p));
         }
 
-        fn receive(
+        fn receive<'m>(
             &self,
             state: &mut Self::State,
             _ctx: &NodeCtx,
-            inbox: &[(usize, usize)],
+            inbox: impl Iterator<Item = (usize, &'m usize)>,
             _rng: &mut ChaCha8Rng,
         ) {
-            state.get_or_insert_with(|| inbox.to_vec());
+            state.get_or_insert_with(|| inbox.map(|(port, &from)| (port, from)).collect());
         }
 
         fn output(&self, state: &Self::State, _ctx: &NodeCtx) -> Option<Vec<(usize, usize)>> {
@@ -766,10 +789,14 @@ mod tests {
             fn init(&self, _ctx: &NodeCtx, rng: &mut ChaCha8Rng) -> u64 {
                 rand::Rng::gen(rng)
             }
-            fn send(&self, _s: &u64, _c: &NodeCtx) -> Vec<(usize, ())> {
-                Vec::new()
-            }
-            fn receive(&self, _s: &mut u64, _c: &NodeCtx, _i: &[(usize, ())], _r: &mut ChaCha8Rng) {
+            fn send(&self, _s: &u64, _c: &NodeCtx, _out: impl FnMut(usize, ())) {}
+            fn receive<'m>(
+                &self,
+                _s: &mut u64,
+                _c: &NodeCtx,
+                _i: impl Iterator<Item = (usize, &'m ())>,
+                _r: &mut ChaCha8Rng,
+            ) {
             }
             fn output(&self, s: &u64, _c: &NodeCtx) -> Option<u64> {
                 Some(*s)
@@ -794,14 +821,22 @@ mod tests {
         type Msg = u64;
         type Output = u64;
         fn init(&self, _ctx: &NodeCtx, _rng: &mut ChaCha8Rng) -> Self::State {}
-        fn send(&self, _s: &Self::State, ctx: &NodeCtx) -> Vec<(usize, u64)> {
+        fn send(&self, _s: &Self::State, ctx: &NodeCtx, mut out: impl FnMut(usize, u64)) {
             if self.bad_port {
-                vec![(ctx.degree, 1)]
+                out(ctx.degree, 1);
             } else {
-                vec![(0, 1), (0, 2)]
+                out(0, 1);
+                out(0, 2);
             }
         }
-        fn receive(&self, _s: &mut (), _c: &NodeCtx, _i: &[(usize, u64)], _r: &mut ChaCha8Rng) {}
+        fn receive<'m>(
+            &self,
+            _s: &mut (),
+            _c: &NodeCtx,
+            _i: impl Iterator<Item = (usize, &'m u64)>,
+            _r: &mut ChaCha8Rng,
+        ) {
+        }
         fn output(&self, _s: &(), _c: &NodeCtx) -> Option<u64> {
             None
         }

@@ -82,18 +82,18 @@ mod tests {
             FloodState { best: ctx.id, stable_for: 0 }
         }
 
-        fn send(&self, state: &FloodState, ctx: &NodeCtx) -> Vec<(usize, u64)> {
-            (0..ctx.degree).map(|p| (p, state.best)).collect()
+        fn send(&self, state: &FloodState, ctx: &NodeCtx, mut out: impl FnMut(usize, u64)) {
+            (0..ctx.degree).for_each(|p| out(p, state.best));
         }
 
-        fn receive(
+        fn receive<'m>(
             &self,
             state: &mut FloodState,
             _ctx: &NodeCtx,
-            inbox: &[(usize, u64)],
+            inbox: impl Iterator<Item = (usize, &'m u64)>,
             _rng: &mut ChaCha8Rng,
         ) {
-            let incoming = inbox.iter().map(|&(_, m)| m).max().unwrap_or(0);
+            let incoming = inbox.map(|(_, &m)| m).max().unwrap_or(0);
             if incoming > state.best {
                 state.best = incoming;
                 state.stable_for = 0;
@@ -184,14 +184,12 @@ mod tests {
             fn init(&self, ctx: &NodeCtx, _rng: &mut ChaCha8Rng) -> (usize, usize) {
                 (ctx.known_n, ctx.max_degree)
             }
-            fn send(&self, _s: &(usize, usize), _c: &NodeCtx) -> Vec<(usize, ())> {
-                Vec::new()
-            }
-            fn receive(
+            fn send(&self, _s: &(usize, usize), _c: &NodeCtx, _out: impl FnMut(usize, ())) {}
+            fn receive<'m>(
                 &self,
                 _s: &mut (usize, usize),
                 _c: &NodeCtx,
-                _i: &[(usize, ())],
+                _i: impl Iterator<Item = (usize, &'m ())>,
                 _r: &mut ChaCha8Rng,
             ) {
             }
