@@ -1,11 +1,14 @@
-//! Pluggable execution strategy for per-node simulation work.
+//! Pluggable execution strategy for independent work items.
 //!
-//! Both engines ([`crate::run_views`], [`crate::run_rounds`]) iterate over
-//! nodes whose computations are independent by construction — the LOCAL
-//! model *is* embarrassingly parallel within a round, and randomness comes
-//! from per-`(run seed, node)` counter-mode streams rather than one shared
-//! generator. A [`NodeExecutor`] decides how that independent work is
-//! scheduled. The crate ships [`Sequential`]; `lcl-bench` provides a
+//! Both simulation engines of `lcl_local` (`run_views`, `run_rounds`; that
+//! crate re-exports this module's items) iterate over nodes whose
+//! computations are independent by construction — the LOCAL model *is*
+//! embarrassingly parallel within a round, and randomness comes from
+//! per-`(run seed, node)` counter-mode streams rather than one shared
+//! generator. The sharded store's writer
+//! ([`crate::ShardedSnapshotWriter::finish_with`]) fans its independent
+//! image jobs out the same way. A [`NodeExecutor`] decides how that work
+//! is scheduled. The crate ships [`Sequential`]; `lcl-bench` provides a
 //! rayon-backed executor. Because every executor must write result `i` to
 //! slot `i` and node RNG streams never interleave, **any** executor yields
 //! bit-identical outcomes to [`Sequential`] — the experiment engine's

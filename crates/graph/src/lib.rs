@@ -40,6 +40,7 @@ mod ball_cache;
 mod coloring;
 mod components;
 mod cycles;
+mod exec;
 mod graph;
 mod ids;
 mod metrics;
@@ -57,6 +58,7 @@ pub use coloring::{
 };
 pub use components::Components;
 pub use cycles::{shortest_cycle_through_edge, CanonicalCycle, CycleSearch};
+pub use exec::{NodeExecutor, Sequential};
 pub use graph::Graph;
 pub use ids::{EdgeId, HalfEdge, NodeId, Side};
 pub use metrics::{diameter, diameter_estimate, eccentricities, girth, EccentricityKernel};

@@ -4,12 +4,19 @@
 //! A huge instance rarely needs to be mapped whole: every closed
 //! sub-instance runs as its own part, bit-identically
 //! (`lcl_local::map_components`), so the store splits the stream of
-//! construction events into per-component frozen images **while
-//! generating** — union-find over the node ids, one global edge spill,
-//! then a routing replay that materializes each shard through the spill
-//! emitter ([`crate::sink`]). With `max_shards = 1` the store holds one
-//! image byte-identical to [`Graph::freeze`] of the whole graph: this is
-//! the crate's one streaming writer. Readers open the manifest, validate
+//! construction events into per-component frozen images — union-find
+//! over the node ids and one global edge spill **while generating**, then
+//! a routing replay into one spill per shard. Each shard image, and the
+//! content hash of the monolithic image, is then an independent job that
+//! replays its spill through the spill emitter ([`crate::sink`]);
+//! [`ShardedSnapshotWriter::finish_with`] runs the jobs on a
+//! [`NodeExecutor`], longest first, each claimed by whichever worker is
+//! free, and gathers the results in shard order, so every file, hash and
+//! first error is the one the calling-thread writer produces. Peak
+//! scratch is the monolithic 2m-word slab plus the slabs of the shard
+//! jobs in flight. With `max_shards = 1` the store holds one image
+//! byte-identical to [`Graph::freeze`] of the whole graph: this is the
+//! crate's one streaming writer. Readers open the manifest, validate
 //! hashes, and map only the shard they are about to execute.
 //!
 //! # Layout
@@ -40,18 +47,24 @@
 //! keeps store-backed rows byte-identical to unsharded runs.
 //!
 //! The publish is atomic at directory granularity: everything is written
-//! into `<dir>.tmp<pid>` and renamed into place. A writer that fails or is
-//! dropped before publishing removes that scratch directory, spills
-//! included.
+//! into `<dir>.tmp<pid>`, which is `fsync`ed and renamed into place, and
+//! the parent directory is `fsync`ed after the rename. A writer that
+//! fails or is dropped before publishing removes that scratch directory,
+//! spills included.
 
+use crate::exec::{NodeExecutor, Sequential};
 use crate::graph::Graph;
 use crate::ids::NodeId;
 use crate::sink::{emit_spill_payload, replay_spill, GraphSink, SpillFile};
 use crate::snapshot::{
-    invalid, le_words, publish, snapshot_header, tmp_path, Container, Fnv, LCLG,
+    invalid, le_words, parent_dir, publish, snapshot_header, sync_dir, tmp_path, Container, Fnv,
+    LCLG,
 };
+use std::cmp::Reverse;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 const MANIFEST: &str = "shards.json";
 const MEMBERS: &str = "members.bin";
@@ -143,49 +156,64 @@ impl ShardedSnapshotWriter {
         v
     }
 
-    /// Writes shard images, members table, and manifest, then renames the
-    /// scratch directory into place. Consumes the writer.
+    /// [`ShardedSnapshotWriter::finish_with`] on the calling thread.
     ///
     /// # Errors
     ///
-    /// Any buffered or fresh I/O error; the target directory is left
-    /// untouched and the scratch directory removed on failure.
-    pub fn finish(mut self) -> io::Result<ShardStoreSummary> {
+    /// As [`ShardedSnapshotWriter::finish_with`].
+    pub fn finish(self) -> io::Result<ShardStoreSummary> {
+        self.finish_with(&Sequential)
+    }
+
+    /// Writes shard images, members table, and manifest, then renames the
+    /// scratch directory into place. Consumes the writer. The shard images
+    /// and the monolithic content hash are independent jobs that `exec`
+    /// runs; every file and hash is the same under any executor.
+    ///
+    /// # Errors
+    ///
+    /// Any buffered or fresh I/O error — the first one in shard order,
+    /// then the monolithic hash, members table and manifest, as a writer
+    /// that runs the jobs one by one meets it; the target directory is
+    /// left untouched and the scratch directory removed on failure.
+    pub fn finish_with<X: NodeExecutor>(mut self, exec: &X) -> io::Result<ShardStoreSummary> {
         self.spill.seal()?;
         let n = self.degrees.len();
         let m = self.m;
         // Component numbering by first appearance in node order — i.e. by
         // smallest member, matching `Components`.
-        let mut comp_of = vec![u32::MAX; n];
+        let mut shard_of = vec![u32::MAX; n];
         let mut comp_sizes: Vec<u32> = Vec::new();
         for v in 0..n as u32 {
             let root = self.find(v);
-            let c = if comp_of[root as usize] == u32::MAX {
+            let c = if shard_of[root as usize] == u32::MAX {
                 let c = u32::try_from(comp_sizes.len()).expect("component count fits u32");
                 comp_sizes.push(0);
-                comp_of[root as usize] = c;
+                shard_of[root as usize] = c;
                 c
             } else {
-                comp_of[root as usize]
+                shard_of[root as usize]
             };
-            comp_of[v as usize] = c;
+            shard_of[v as usize] = c;
             comp_sizes[c as usize] += 1;
         }
+        self.parent = Vec::new();
+        // From each node's component to its shard.
         let shard_of_comp = assign_shards(&comp_sizes, self.max_shards);
+        shard_of.iter_mut().for_each(|c| *c = shard_of_comp[*c as usize]);
         let k = shard_of_comp.iter().map(|&s| s as usize + 1).max().unwrap_or(0);
         // Local ids: arrival order within the shard = ascending global id.
         let mut local_of = vec![0u32; n];
         let mut shard_n = vec![0u32; k];
         for v in 0..n {
-            let s = shard_of_comp[comp_of[v] as usize] as usize;
+            let s = shard_of[v] as usize;
             local_of[v] = shard_n[s];
             shard_n[s] += 1;
         }
         let mut shard_degrees: Vec<Vec<u32>> =
             shard_n.iter().map(|&c| vec![0u32; c as usize]).collect();
         for v in 0..n {
-            let s = shard_of_comp[comp_of[v] as usize] as usize;
-            shard_degrees[s][local_of[v] as usize] = self.degrees[v];
+            shard_degrees[shard_of[v] as usize][local_of[v] as usize] = self.degrees[v];
         }
         // Routing replay: one pass over the global spill distributes each
         // edge (localized) to its shard's spill, preserving global
@@ -195,46 +223,16 @@ impl ShardedSnapshotWriter {
             .collect::<io::Result<_>>()?;
         let mut shard_m = vec![0usize; k];
         replay_spill(self.spill.path(), m, |u, v| {
-            let s = shard_of_comp[comp_of[u as usize] as usize] as usize;
+            let s = shard_of[u as usize] as usize;
             shard_spills[s].push(local_of[u as usize], local_of[v as usize]);
             shard_m[s] += 1;
         })?;
         for sp in &mut shard_spills {
             sp.seal()?;
         }
-        // Shard images (sequentially: peak scratch is the largest shard's
-        // 2m-word slab, not the sum).
-        let mut shards = Vec::with_capacity(k);
-        for s in 0..k {
-            let file = format!("shard-{s:04}.lclg");
-            let degrees = &shard_degrees[s];
-            let max_degree = degrees.iter().copied().max().unwrap_or(0);
-            let fields = [shard_n[s], shard_m[s] as u32, max_degree, 0];
-            let hash = LCLG.write(&self.tmp_dir.join(&file), fields, |body| {
-                emit_spill_payload(degrees, shard_m[s], shard_spills[s].path(), &mut |w| {
-                    body.word(w)
-                })
-            })?;
-            shards.push(ShardMeta { file, n: shard_n[s] as usize, m: shard_m[s], hash });
-        }
-        // Monolithic content hash: with one shard the global image *is*
-        // the shard image (identity node mapping); otherwise hash the
-        // global payload from the global spill.
-        let graph_hash = if k == 1 {
-            shards[0].hash
-        } else {
-            let mut fnv = Fnv::new();
-            emit_spill_payload(&self.degrees, m, self.spill.path(), &mut |w| {
-                fnv.write(&w.to_le_bytes());
-            })?;
-            fnv.finish()
-        };
-        for sp in &mut shard_spills {
-            sp.remove();
-        }
-        self.spill.remove();
         // Members grouped by shard, ascending global id within each — the
-        // local numbering assigned above, inverted via counting sort.
+        // local numbering assigned above, inverted via counting sort. The
+        // per-node tables go before the image jobs start.
         let mut starts = Vec::with_capacity(k + 1);
         let mut off = 0u32;
         for &c in &shard_n {
@@ -244,9 +242,83 @@ impl ShardedSnapshotWriter {
         starts.push(off);
         let mut grouped = vec![0u32; n];
         for v in 0..n {
-            let s = shard_of_comp[comp_of[v] as usize] as usize;
-            grouped[(starts[s] + local_of[v]) as usize] = v as u32;
+            grouped[(starts[shard_of[v] as usize] + local_of[v]) as usize] = v as u32;
         }
+        drop((shard_of, local_of));
+        // The image jobs: job `s < k` writes shard `s`; job `k` hashes the
+        // monolithic payload from the global spill. With one shard there
+        // is no job `k`: the global image *is* the shard image (identity
+        // node mapping). Peak scratch is the monolithic 2m-word slab plus
+        // the slabs of the shard jobs in flight. The monolithic slab is
+        // allocated here, on the calling thread, so no worker reserves an
+        // allocator arena for it.
+        let hash_job = k != 1;
+        let mono_slab = Mutex::new(if hash_job { vec![0u32; 2 * m] } else { Vec::new() });
+        let run = |j: usize| -> io::Result<u64> {
+            if j == k {
+                let mut fnv = Fnv::new();
+                let slab =
+                    &mut *mono_slab.lock().expect("slab lock poisoned: the hash job panicked");
+                emit_spill_payload(&self.degrees, self.spill.path(), slab, |w| {
+                    fnv.write(&w.to_le_bytes());
+                })?;
+                return Ok(fnv.finish());
+            }
+            let degrees = &shard_degrees[j];
+            let max_degree = degrees.iter().copied().max().unwrap_or(0);
+            let fields = [shard_n[j], shard_m[j] as u32, max_degree, 0];
+            let mut slab = vec![0u32; 2 * shard_m[j]];
+            let file = shard_file(j);
+            LCLG.write(&self.tmp_dir.join(&file), fields, |body| {
+                emit_spill_payload(degrees, shard_spills[j].path(), &mut slab, |w| body.word(w))
+            })
+            .map_err(|e| io::Error::new(e.kind(), format!("{file}: {e}")))
+        };
+        // Longest first by payload words, each claimed by whichever worker
+        // is free: the monolithic job, as long as all shards together,
+        // runs beside the shards instead of ahead of half of them.
+        let words = |j: usize| {
+            if j < k {
+                shard_n[j] as usize + 10 * shard_m[j]
+            } else {
+                n + 10 * m
+            }
+        };
+        let mut order: Vec<usize> = (0..k + usize::from(hash_job)).collect();
+        order.sort_by_key(|&j| (Reverse(words(j)), j));
+        let next = AtomicUsize::new(0);
+        // Every item claims jobs until none is left, so at most as many
+        // jobs run at once as the executor runs items. The counter only
+        // hands out distinct indices (`Relaxed`); results come back
+        // through `map_nodes`.
+        let mut done: Vec<(usize, io::Result<u64>)> = exec
+            .map_nodes(order.len(), |_| {
+                let mut ran = Vec::new();
+                while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    ran.push((j, run(j)));
+                }
+                ran
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        // Each job ran once: in job order, the first error is the one a
+        // one-by-one writer meets.
+        done.sort_by_key(|&(j, _)| j);
+        let hashes: Vec<u64> = done.into_iter().map(|(_, r)| r).collect::<io::Result<_>>()?;
+        let graph_hash = if hash_job { hashes[k] } else { hashes[0] };
+        let shards: Vec<ShardMeta> = (0..k)
+            .map(|s| ShardMeta {
+                file: shard_file(s),
+                n: shard_n[s] as usize,
+                m: shard_m[s],
+                hash: hashes[s],
+            })
+            .collect();
+        for sp in &mut shard_spills {
+            sp.remove();
+        }
+        self.spill.remove();
         // Body: the k+1 shard offsets, then the grouped global ids.
         let members_hash =
             LCLM.write(&self.tmp_dir.join(MEMBERS), [k as u32, n as u32], |body| {
@@ -263,6 +335,7 @@ impl ShardedSnapshotWriter {
             members_hash,
             &shards,
         )?;
+        sync_dir(&self.tmp_dir)?;
         // A concurrent writer may have published first (or the target is
         // in the way): keep whatever store is there. `Drop` removes our
         // scratch either way.
@@ -270,8 +343,14 @@ impl ShardedSnapshotWriter {
         {
             return Err(invalid(format!("cannot publish store at {}", self.dir.display())));
         }
+        sync_dir(parent_dir(&self.dir))?;
         Ok(ShardStoreSummary { n, m, max_degree, shards: k, graph_hash })
     }
+}
+
+/// The image file name of shard `s`.
+fn shard_file(s: usize) -> String {
+    format!("shard-{s:04}.lclg")
 }
 
 impl GraphSink for ShardedSnapshotWriter {
@@ -318,7 +397,7 @@ fn assign_shards(comp_sizes: &[u32], max_shards: usize) -> Vec<u32> {
         return (0..k_comps as u32).collect();
     }
     let mut order: Vec<usize> = (0..k_comps).collect();
-    order.sort_by_key(|&c| (std::cmp::Reverse(comp_sizes[c]), c));
+    order.sort_by_key(|&c| (Reverse(comp_sizes[c]), c));
     let mut load = vec![0u64; max_shards];
     let mut shard_of = vec![0u32; k_comps];
     for c in order {

@@ -9,27 +9,29 @@
 //! itself is a sink (the in-memory path is unchanged), and
 //! [`crate::ShardedSnapshotWriter`] is the streaming one: it keeps only
 //! per-node tables in memory, spills the edge list to a scratch file
-//! ([`SpillFile`]), and replays the spill a few times
-//! ([`emit_spill_payload`]) to write each image through the one container
-//! writer (`crate::snapshot`). With one shard its image is exactly the
-//! bytes [`Graph::freeze`] writes — same sections, same order, same
-//! FNV-1a content hash.
+//! ([`SpillFile`]), and replays the spill a few times, a block of records
+//! per read ([`emit_spill_payload`]), to write each image through the one
+//! container writer (`crate::snapshot`). With one shard its image is
+//! exactly the bytes [`Graph::freeze`] writes — same sections, same
+//! order, same FNV-1a content hash.
 //!
 //! The two payload emitters stay separate on purpose: `Graph::freeze`
 //! reads a graph's actual port tables, which deserialization accepts in
 //! any consistent numbering, while an edge stream can only express
 //! edge-arrival port order.
 //!
-//! Peak working memory of the spill emitter is `O(n + m)` u32 words
-//! (degree/cursor tables plus one 2m-word slab scratch) instead of the
-//! full port-table CSR with its relocation slack, which is what lets a
-//! 2²²-node instance freeze inside a memory budget the in-memory path
-//! exceeds (gated by the `ulimit -v` CI leg).
+//! Peak working memory of one emitter run is `O(n + m)` u32 words
+//! (degree/cursor tables plus the caller's 2m-word slab) instead of the
+//! full port-table CSR with its relocation slack. The store writer runs
+//! several at once: its peak is the monolithic slab plus the slabs of the
+//! shard jobs in flight, and a shard's slab is its share of the 2m words.
+//! That is what lets a 2²²-node instance freeze inside a memory budget the
+//! in-memory path exceeds (gated by the `ulimit -v` CI legs).
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// A consumer of streamed graph-construction events, in the generator's
@@ -122,19 +124,27 @@ impl SpillFile {
     }
 }
 
-/// Reads a sealed spill back edge by edge.
+/// Edge records read from a spill per block.
+const REPLAY_BLOCK: usize = 1 << 13;
+
+/// Reads a sealed spill back, a block of records per read, and hands
+/// every edge to `each` in insertion order.
 pub(crate) fn replay_spill(
     path: &Path,
     m: usize,
     mut each: impl FnMut(u32, u32),
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut rec = [0u8; 8];
-    for _ in 0..m {
-        reader.read_exact(&mut rec)?;
-        let u = u32::from_le_bytes(rec[..4].try_into().expect("4 bytes"));
-        let v = u32::from_le_bytes(rec[4..].try_into().expect("4 bytes"));
-        each(u, v);
+    let mut file = File::open(path)?;
+    let mut block = vec![0u8; 8 * m.min(REPLAY_BLOCK)];
+    let mut left = m;
+    while left > 0 {
+        let records = &mut block[..8 * left.min(REPLAY_BLOCK)];
+        file.read_exact(records)?;
+        for rec in records.chunks_exact(8) {
+            let word = |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4 bytes"));
+            each(word(0), word(4));
+        }
+        left -= records.len() / 8;
     }
     Ok(())
 }
@@ -142,61 +152,72 @@ pub(crate) fn replay_spill(
 /// Streams the snapshot payload words derivable from `(degrees, spill)` —
 /// the same words, in the same order, as `payload_words` on the in-memory
 /// graph — into `emit`. Five sequential spill replays; the only large
-/// allocation is the 2m-word slab scratch.
+/// buffer is `slab`, the caller's 2m-word scratch (whatever it holds on
+/// entry is overwritten).
 pub(crate) fn emit_spill_payload(
     degrees: &[u32],
-    m: usize,
     spill: &Path,
-    emit: &mut dyn FnMut(u32),
+    slab: &mut [u32],
+    mut emit: impl FnMut(u32),
 ) -> io::Result<()> {
-    let n = degrees.len();
-    // Section 1: n+1 port offsets (prefix sums of degrees).
-    let mut starts = Vec::with_capacity(n);
+    let m = slab.len() / 2;
+    // Section 1: n+1 port offsets (prefix sums of degrees), which start
+    // out as every node's slab cursor.
+    let mut cursor = Vec::with_capacity(degrees.len());
     let mut off = 0u32;
     for &d in degrees {
-        starts.push(off);
+        cursor.push(off);
         emit(off);
         off = off.checked_add(d).expect("offset overflow");
     }
     emit(off);
-    assert_eq!(off as usize, 2 * m, "degree table disagrees with edge count");
+    assert_eq!(off as usize, slab.len(), "degree table disagrees with edge count");
     // Section 2: the packed slab — half-edge 2e lands at u's next port,
     // 2e+1 at v's, exactly as `Graph::add_edge` assigns ports.
-    let mut slab = vec![0u32; 2 * m];
     let mut e = 0u32;
     replay_spill(spill, m, |u, v| {
-        slab[starts[u as usize] as usize] = 2 * e;
-        starts[u as usize] += 1;
-        slab[starts[v as usize] as usize] = 2 * e + 1;
-        starts[v as usize] += 1;
+        for (node, half) in [(u, 2 * e), (v, 2 * e + 1)] {
+            slab[cursor[node as usize] as usize] = half;
+            cursor[node as usize] += 1;
+        }
         e += 1;
     })?;
-    slab.into_iter().for_each(&mut *emit);
+    slab.iter().for_each(|&w| emit(w));
     // Section 3: endpoint pairs — the spill bytes verbatim.
     replay_spill(spill, m, |u, v| {
         emit(u);
         emit(v);
     })?;
-    // Sections 4 and 6: the port each half-edge occupies, then its peer's.
-    let ports = |peer: bool, emit: &mut dyn FnMut(u32)| {
-        let mut next_port = vec![0u32; n];
-        replay_spill(spill, m, |u, v| {
-            let pa = next_port[u as usize];
-            next_port[u as usize] += 1;
-            let pb = next_port[v as usize];
-            next_port[v as usize] += 1;
-            let (first, second) = if peer { (pb, pa) } else { (pa, pb) };
-            emit(first);
-            emit(second);
-        })
-    };
-    ports(false, &mut *emit)?;
+    // Section 4: the port each half-edge occupies.
+    port_pairs(spill, m, &mut cursor, false, &mut emit)?;
     // Section 5: peer_node — the opposite endpoint of each half-edge.
     replay_spill(spill, m, |u, v| {
         emit(v);
         emit(u);
     })?;
-    ports(true, emit)
+    // Section 6: the port each half-edge's peer occupies.
+    port_pairs(spill, m, &mut cursor, true, &mut emit)
+}
+
+/// Emits, per edge `(u, v)`, the ports its two half-edges occupy —
+/// swapped when `peer` — counting every node's ports in `next` from 0.
+fn port_pairs(
+    spill: &Path,
+    m: usize,
+    next: &mut [u32],
+    peer: bool,
+    emit: &mut impl FnMut(u32),
+) -> io::Result<()> {
+    next.fill(0);
+    replay_spill(spill, m, |u, v| {
+        let pa = next[u as usize];
+        next[u as usize] += 1;
+        let pb = next[v as usize];
+        next[v as usize] += 1;
+        let (first, second) = if peer { (pb, pa) } else { (pa, pb) };
+        emit(first);
+        emit(second);
+    })
 }
 
 #[cfg(test)]

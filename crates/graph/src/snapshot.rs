@@ -6,10 +6,11 @@
 //! A container is `magic | version | u32 fields | FNV-1a 64 hash of the
 //! body | body`, all little-endian. [`Container::write`] is the one
 //! writer: it streams the body through the hash into a temp file next to
-//! the target, patches the hash into the header, `fsync`s and renames, so
-//! a reader sees a complete image or none, and a failed write leaves the
-//! target as it was and no temp file behind ([`publish`], which the store
-//! manifest uses too). [`Container::header`] is the one parser: length,
+//! the target, patches the hash into the header, `fsync`s and renames, and
+//! `fsync`s the directory, so a reader sees a complete image or none, and
+//! a failed write leaves the target as it was and no temp file behind
+//! ([`publish`], which the store manifest uses too).
+//! [`Container::header`] is the one parser: length,
 //! magic and version; [`Container::read`] adds the body hash check. Two
 //! formats use it: `.lclg` graph images (here) and the sharded store's
 //! `members.bin` (`crate::shard_store`).
@@ -45,7 +46,7 @@ use crate::graph::Graph;
 use crate::ids::{HalfEdge, NodeId};
 use memmap2::Mmap;
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A hashed container format: its magic, and `F` header fields between
@@ -78,14 +79,18 @@ impl<const F: usize> Container<F> {
     ) -> io::Result<u64> {
         publish(path, |file| {
             file.write_all(&vec![0; Self::HEADER_LEN])?;
-            let mut sink = Body { out: BufWriter::new(&mut *file), fnv: Fnv::new(), err: None };
+            let mut sink = Body {
+                out: &mut *file,
+                fnv: Fnv::new(),
+                block: Vec::with_capacity(BLOCK),
+                err: None,
+            };
             body(&mut sink)?;
+            sink.flush();
             if let Some(e) = sink.err.take() {
                 return Err(e);
             }
-            sink.out.flush()?;
             let hash = sink.fnv.finish();
-            drop(sink);
             let mut header = Vec::with_capacity(Self::HEADER_LEN);
             header.extend_from_slice(self.magic);
             for w in [VERSION].iter().chain(&fields) {
@@ -135,30 +140,43 @@ impl<const F: usize> Container<F> {
     }
 }
 
-/// A container body being written: every word goes through the FNV-1a
-/// hash and into the file. Write errors are kept and surface when the
-/// container is sealed, so payload emitters stay infallible.
+/// Body bytes gathered per hash step and file write.
+const BLOCK: usize = 1 << 16;
+
+/// A container body being written: words gather in a block, and every
+/// full block goes through the FNV-1a hash and into the file in one call
+/// each. Write errors are kept and surface when the container is sealed,
+/// so payload emitters stay infallible.
 pub(crate) struct Body<'a> {
-    out: BufWriter<&'a mut File>,
+    out: &'a mut File,
     fnv: Fnv,
+    block: Vec<u8>,
     err: Option<io::Error>,
 }
 
 impl Body<'_> {
     pub(crate) fn word(&mut self, w: u32) {
-        let bytes = w.to_le_bytes();
-        self.fnv.write(&bytes);
-        if self.err.is_none() {
-            self.err = self.out.write_all(&bytes).err();
+        self.block.extend_from_slice(&w.to_le_bytes());
+        if self.block.len() == BLOCK {
+            self.flush();
         }
+    }
+
+    fn flush(&mut self) {
+        self.fnv.write(&self.block);
+        if self.err.is_none() {
+            self.err = self.out.write_all(&self.block).err();
+        }
+        self.block.clear();
     }
 }
 
 /// Publishes `path` atomically: `write` fills `<path>.tmp<pid>`
-/// ([`tmp_path`]), which is `fsync`ed and renamed over `path`. On any
-/// error the temp file is removed and `path` is left as it was. The temp
-/// name is per process, so concurrent publishers of one path must be
-/// separate processes.
+/// ([`tmp_path`]), which is `fsync`ed and renamed over `path`, and the
+/// directory holding `path` is `fsync`ed so the rename itself is durable.
+/// On any error before the rename the temp file is removed and `path` is
+/// left as it was. The temp name is per process, so concurrent publishers
+/// of one path must be separate processes.
 pub(crate) fn publish<T>(
     path: &Path,
     write: impl FnOnce(&mut File) -> io::Result<T>,
@@ -173,7 +191,22 @@ pub(crate) fn publish<T>(
     if published.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
-    published
+    let out = published?;
+    sync_dir(parent_dir(path))?;
+    Ok(out)
+}
+
+/// `fsync`s a directory, making the renames into and out of it durable.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// The directory holding `path`: its parent, or `.` for a bare name.
+pub(crate) fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    }
 }
 
 /// `<path>.tmp<pid>`: the per-process scratch name next to `path`, so the

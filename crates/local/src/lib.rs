@@ -53,14 +53,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod exec;
 mod network;
 mod rounds;
 mod shard;
 mod trace;
 mod views;
 
-pub use exec::{NodeExecutor, Sequential};
+// The executor abstraction lives in `lcl_graph`, whose sharded store
+// writer fans its jobs out through it too; the engines here take it.
+pub use lcl_graph::{NodeExecutor, Sequential};
 pub use network::{assigned_ids, IdAssignment, Network};
 pub use rounds::{
     run_rounds, run_rounds_dense, run_rounds_dense_with, run_rounds_with, NodeCtx, RoundAlgorithm,

@@ -40,10 +40,10 @@
 //! Every node's RNG stream is its own, so outcomes are bit-identical under
 //! **any** executor.
 
-use crate::exec::{NodeExecutor, Sequential};
 use crate::network::Network;
 use crate::trace::RoundTrace;
 use crate::views::rand_word;
+use crate::{NodeExecutor, Sequential};
 use lcl_graph::{Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

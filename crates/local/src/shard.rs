@@ -26,8 +26,8 @@
 //! slowest component settles, and a part that hits the cap reports the
 //! cap, exactly as the whole run would.
 
-use crate::exec::NodeExecutor;
 use crate::network::Network;
+use crate::NodeExecutor;
 use lcl_graph::Components;
 
 /// Runs `f` on every connected component of `net` as a closed part
@@ -57,10 +57,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Sequential;
     use crate::network::IdAssignment;
     use crate::rounds::{run_rounds, NodeCtx, RoundAlgorithm, RoundOutcome};
     use crate::trace::RoundTrace;
+    use crate::Sequential;
     use lcl_graph::gen;
     use rand_chacha::ChaCha8Rng;
 

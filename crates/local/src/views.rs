@@ -1,8 +1,8 @@
 //! The view engine: adaptive radius-`r` ball algorithms.
 
-use crate::exec::NodeExecutor;
 use crate::network::Network;
 use crate::trace::LocalityTrace;
+use crate::NodeExecutor;
 use lcl_graph::{Ball, BallCache, EdgeId, Graph, NodeId};
 
 /// What one node sees after gathering radius `r`: its ball, with LOCAL

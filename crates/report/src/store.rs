@@ -99,9 +99,10 @@ impl RunStore {
     /// Persists a run atomically and returns its final directory.
     ///
     /// The manifest and rows are first streamed into
-    /// `root/<experiment>/.tmp-<run-id>-<pid>/`, fsync'd closed, and only
-    /// then renamed to `root/<experiment>/<run-id>/` — the rename is the
-    /// commit point.
+    /// `root/<experiment>/.tmp-<run-id>-<pid>/`, fsync'd closed with their
+    /// directory, and only then renamed to `root/<experiment>/<run-id>/` —
+    /// the rename is the commit point, and fsyncing the experiment
+    /// directory after it makes the commit durable.
     ///
     /// # Errors
     ///
@@ -125,17 +126,16 @@ impl RunStore {
         // stale by construction; start clean.
         let _ = fs::remove_dir_all(&tmp_dir);
         fs::create_dir_all(&tmp_dir)?;
-        let result =
-            self.write_run_files(&tmp_dir, manifest, rows).and_then(|()| {
-                match fs::rename(&tmp_dir, &final_dir) {
-                    Ok(()) => Ok(final_dir.clone()),
-                    Err(e) => Err(e),
-                }
-            });
+        let result = self
+            .write_run_files(&tmp_dir, manifest, rows)
+            .and_then(|()| sync_dir(&tmp_dir))
+            .and_then(|()| fs::rename(&tmp_dir, &final_dir));
         if result.is_err() {
             let _ = fs::remove_dir_all(&tmp_dir);
         }
-        result
+        result?;
+        sync_dir(&exp_dir)?;
+        Ok(final_dir)
     }
 
     fn write_run_files(
@@ -212,6 +212,11 @@ impl RunStore {
     pub fn find(&self, run_id: &str) -> io::Result<Option<StoredRun>> {
         Ok(self.list()?.into_iter().find(|r| r.manifest.run_id == run_id))
     }
+}
+
+/// `fsync`s a directory, making the renames into and out of it durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
 }
 
 /// Reads one run directory; `None` for torn runs (missing or unparseable

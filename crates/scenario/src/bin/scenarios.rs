@@ -24,9 +24,10 @@
 //! Pooled runs are placed by the cost-model grid scheduler by default:
 //! per-cell costs predicted from persisted timing history (static
 //! degree-weighted estimates until history exists) drive a
-//! makespan-balanced worker assignment, and the manifest records
-//! `predicted_ms:`/`actual_ms:` per cell so `results show` can report the
-//! prediction error. Rows stay byte-identical to `--seq` regardless.
+//! makespan-balanced worker assignment, and once history exists the
+//! manifest records `predicted_ms:`/`actual_ms:` per cell so `results
+//! show` can report the prediction error. Rows stay byte-identical to
+//! `--seq` regardless.
 //! `--no-sched` restores contiguous chunk claiming; `--sched` forces
 //! planning even under `--seq`.
 //! `--snapshot-dir DIR` (or `LCL_SNAPSHOT_DIR`) caches built instances as

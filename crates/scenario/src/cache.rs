@@ -22,6 +22,7 @@
 //! cannot survive verification.
 
 use crate::spec::FamilySpec;
+use lcl_bench::Parallel;
 use lcl_graph::{gen::GenError, Graph, ShardedSnapshot, ShardedSnapshotWriter, DEFAULT_MAX_SHARDS};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -93,10 +94,12 @@ impl SnapshotCache {
     /// Opens the cell's published sharded snapshot, or streams the
     /// generator into a fresh one on a miss — the instance is never
     /// materialized in memory on either path, which is the whole point for
-    /// huge cells. A directory that fails manifest validation is treated
-    /// as a miss: removed and rebuilt. Hits and misses fold into the same
-    /// counters as the monolithic cache, so `run_spec`'s single summary
-    /// line covers both.
+    /// huge cells. The writer runs its image jobs across the worker pool
+    /// (`LCL_POOL_THREADS=1` keeps them on the calling thread); the bytes
+    /// are the same at any pool width. A directory that fails manifest
+    /// validation is treated as a miss: removed and rebuilt. Hits and
+    /// misses fold into the same counters as the monolithic cache, so
+    /// `run_spec`'s single summary line covers both.
     ///
     /// # Errors
     ///
@@ -121,7 +124,7 @@ impl SnapshotCache {
         let mut w = ShardedSnapshotWriter::create(&dir, DEFAULT_MAX_SHARDS)
             .map_err(|e| format!("cannot start sharded snapshot {}: {e}", dir.display()))?;
         family.build_into(n, seed, &mut w).map_err(|e| e.to_string())?;
-        w.finish()
+        w.finish_with(&Parallel)
             .map_err(|e| format!("cannot publish sharded snapshot {}: {e}", dir.display()))?;
         ShardedSnapshot::open(&dir)
             .map_err(|e| format!("freshly published {} fails to open: {e}", dir.display()))

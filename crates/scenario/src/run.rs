@@ -24,9 +24,11 @@
 //! bytes are unaffected because rows are stitched back in canonical cell
 //! order. Every run, scheduled or not, records per-cell wall clock into
 //! the manifest meta (`cell_ms:<family>:<n>:<seed>`), which is exactly the
-//! history the next run's model trains on; scheduled runs additionally
-//! record `predicted_ms:`/`actual_ms:` pairs so `results show` can report
-//! how wrong the model was. `--no-sched` restores chunked claiming,
+//! history the next run's model trains on; scheduled runs whose model has
+//! history for one of their classes additionally record
+//! `predicted_ms:`/`actual_ms:` pairs so `results show` can report how
+//! wrong the model was (a cold plan's costs are work units, and its
+//! `sched` line says so). `--no-sched` restores chunked claiming,
 //! `--sched` forces planning even under `--seq` (the plan is still
 //! executed on one thread, but predictions land in the manifest).
 
@@ -418,7 +420,7 @@ pub fn schedule_for(
     runner: &BatchRunner,
 ) -> Option<Schedule> {
     let items: Vec<(usize, usize)> = cells.iter().enumerate().map(|(ci, c)| (ci, c.n)).collect();
-    plan_items(cells, &items, algos, opts, runner)
+    plan_items(cells, &items, algos, opts, runner).map(|(schedule, _)| schedule)
 }
 
 /// Plans the placement of work items, `items[j] = (cell, nodes)` — a
@@ -428,13 +430,15 @@ pub fn schedule_for(
 /// class has no history fall back to the static degree-weighted estimate
 /// [`FamilySpec::cost_weight`] × Σ [`AlgoSpec::cost_factor`], calibrated
 /// onto the model's scale. [`build_schedule`] places the items by LPT.
+/// The flag says whether the costs are milliseconds: false when no class
+/// has history, so every cost is a static estimate in work units.
 fn plan_items(
     cells: &[Cell<FamilySpec>],
     items: &[(usize, usize)],
     algos: &[AlgoSpec],
     opts: &CliOpts,
     runner: &BatchRunner,
-) -> Option<Schedule> {
+) -> Option<(Schedule, bool)> {
     if opts.has("--no-sched") || !(opts.has("--sched") || runner.is_parallel()) {
         return None;
     }
@@ -449,8 +453,10 @@ fn plan_items(
             ((family.slug(), algo_set.clone(), n), weight)
         })
         .unzip();
-    let costs = predict_costs(&CostModel::fit(&samples), &classes, &statics);
-    Some(build_schedule(&costs, lcl_bench::pool_width()))
+    let model = CostModel::fit(&samples);
+    let in_ms = classes.iter().any(|(f, a, n)| model.predict_ms(f, a, *n).is_some());
+    let costs = predict_costs(&model, &classes, &statics);
+    Some((build_schedule(&costs, lcl_bench::pool_width()), in_ms))
 }
 
 /// Runs a whole scenario through the batch engine and returns the report
@@ -463,8 +469,9 @@ fn plan_items(
 /// message. Every cell's work items — one per in-memory cell, one per
 /// shard of a store-backed cell — share one dispatch
 /// (`BatchRunner::try_run_parts`); pooled runs place them with the grid
-/// scheduler and additionally record `predicted_ms:`/`actual_ms:` meta
-/// per cell plus a `sched` provenance line, and store-backed cells record
+/// scheduler and additionally record a `sched` provenance line, plus
+/// `predicted_ms:`/`actual_ms:` meta per cell once the cost model has
+/// history for one of the run's classes, and store-backed cells record
 /// their shard count (`shards:<cell>`).
 #[must_use]
 pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>) {
@@ -496,7 +503,7 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>)
         .collect();
     let sched = plan_items(&cells, &items, algos, opts, &runner);
     let groups: Vec<Vec<usize>> = match &sched {
-        Some(s) => s.groups.clone(),
+        Some((s, _)) => s.groups.clone(),
         // No plan: one pool job per item (chunk-claimed when parallel,
         // canonical order when sequential).
         None => (0..items.len()).map(|j| vec![j]).collect(),
@@ -543,14 +550,22 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &CliOpts) -> (Report, Vec<CellError>)
     for (cell, ms) in cells.iter().zip(&cell_ms) {
         report.push_meta(format!("cell_ms:{}", cell.key()), format!("{ms:.3}"));
     }
-    if let Some(s) = &sched {
+    if let Some((s, in_ms)) = &sched {
+        let unit = if *in_ms { "ms" } else { "units" };
         report.push_meta(
             "sched",
-            format!("workers={} predicted_makespan_ms={:.3}", s.workers, s.predicted_makespan_ms),
+            format!(
+                "workers={} predicted_makespan_{unit}={:.3}",
+                s.workers, s.predicted_makespan_ms
+            ),
         );
-        // Predicted vs. actual per cell — the self-improvement record
-        // `results show` aggregates into a prediction error. A store
-        // cell's prediction is the sum over its shard items.
+    }
+    // Predicted vs. actual per cell — the self-improvement record
+    // `results show` aggregates into a prediction error — when the model
+    // predicted milliseconds for at least one class; a cold plan's work
+    // units are no prediction of milliseconds. A store cell's prediction
+    // is the sum over its shard items.
+    if let Some((s, true)) = &sched {
         let mut predicted = vec![0.0; cells.len()];
         for (&(ci, _), ms) in items.iter().zip(&s.predicted_ms) {
             predicted[ci] += ms;

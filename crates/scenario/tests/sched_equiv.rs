@@ -104,8 +104,22 @@ fn skewed_spec_agrees_across_every_dispatch_mode() {
     let root = scratch("skew");
     let out = root.to_string_lossy().into_owned();
     let spec = skewed_spec();
-    let (baseline, fail) = run_spec(&spec, &opts(&["--seq", "--out", &out]));
+    // Cold: with no history, a planned run's costs are static work units,
+    // so it records no predicted/actual pairs and labels its makespan.
+    let (cold, fail) = run_spec(&spec, &opts(&["--sched", "--out", &out]));
     assert!(fail.is_empty(), "{fail:?}");
+    assert_eq!(count_meta(cold.meta(), "predicted_ms:"), 0);
+    assert_eq!(count_meta(cold.meta(), "actual_ms:"), 0);
+    assert!(cold
+        .meta()
+        .iter()
+        .any(|(k, v)| k == "sched" && v.contains("predicted_makespan_units=")));
+    // The baseline is persisted, so the planned runs below are warm.
+    let base_opts = opts(&["--seq", "--out", &out, "--run-id", "skew-base"]);
+    let (baseline, fail) = run_spec(&spec, &base_opts);
+    assert!(fail.is_empty(), "{fail:?}");
+    baseline.persist(&experiment_name(&spec), &base_opts).unwrap();
+    assert_eq!(cold.render(true), baseline.render(true));
     // Pooled scheduled (default), pooled chunked (--no-sched), pooled
     // forced (--sched), and sequential-but-planned (--sched --seq): all
     // must render the same bytes.
@@ -123,6 +137,10 @@ fn skewed_spec_agrees_across_every_dispatch_mode() {
             && (mode.contains(&"--sched") || !mode.contains(&"--seq"));
         let expect = if planned { spec.cell_count(false) } else { 0 };
         assert_eq!(count_meta(report.meta(), "predicted_ms:"), expect, "{mode:?}");
+        if planned {
+            let sched = report.meta().iter().find(|(k, _)| k == "sched").expect("planned");
+            assert!(sched.1.contains("predicted_makespan_ms="), "{mode:?}: {}", sched.1);
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -19,9 +19,12 @@
 //! re-frozen image (the frozen format is canonical: freeze ∘ load ∘
 //! freeze is the identity on bytes). `stream` never materializes the
 //! graph: the generator emits straight into a `ShardedSnapshotWriter`
-//! (bounded working memory — CI's huge-instance `ulimit -v` leg drives
-//! it at n = 2²²). Family slugs are the scenario layer's (`torus`,
-//! `hypercube`, `3-regular`, `caterpillar-40`, `pods-p8x2`, …).
+//! (bounded working memory — CI's huge-instance `ulimit -v` legs drive
+//! it at n = 2²²), which writes its shard images and the monolithic hash
+//! across the worker pool (`LCL_POOL_THREADS` pins its width; the store's
+//! bytes are the same at any width). Family slugs are the scenario
+//! layer's (`torus`, `hypercube`, `3-regular`, `caterpillar-40`,
+//! `pods-p8x2`, …).
 //!
 //! Exit codes: 0 ok, 1 validation/roundtrip failure, 2 usage or output
 //! error. Output goes through one writer whose errors are checked: a
@@ -188,7 +191,7 @@ fn cmd_stream(
         let mut w = ShardedSnapshotWriter::create(dir, max_shards)
             .map_err(|e| format!("cannot start store in {}: {e}", dir.display()))?;
         family.build_into(n, seed, &mut w).map_err(|e| e.to_string())?;
-        w.finish().map_err(|e| format!("publish failed: {e}"))
+        w.finish_with(&lcl_bench::Parallel).map_err(|e| format!("publish failed: {e}"))
     })();
     match streamed {
         Ok(s) => {
