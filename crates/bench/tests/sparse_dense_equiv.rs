@@ -83,33 +83,44 @@ fn run_rounds_reference<A: RoundAlgorithm>(
 
 /// Runs the naive reference and the engine under both policies and both
 /// executors on one instance, and asserts all five agree.
-fn assert_engines_agree<A>(net: &Network, alg: &A, seed: u64, cap: u32, label: &str)
+///
+/// The engine runs on two fresh networks over `g`, because a network
+/// builds its port plane on its first run and shares it with every later
+/// one. The pooled sparse run comes first on `pooled`, so it builds that
+/// plane across the pool, in blocks of the engine's chunk; the sequential
+/// dense oracle builds `seq`'s on the calling thread. The sequential
+/// sparse run then reuses the pooled build, and the pooled dense run the
+/// sequential one.
+fn assert_engines_agree<A>(g: &Graph, alg: &A, seed: u64, cap: u32, label: &str)
 where
     A: RoundAlgorithm + Sync,
     A::State: Send + Sync,
     A::Msg: Send + Sync,
     A::Output: Clone + Send + PartialEq + std::fmt::Debug,
 {
-    let reference = run_rounds_reference(net, alg, seed, cap);
-    let dense = run_rounds_dense(net, alg, seed, cap);
+    let fresh = || Network::new(g.clone(), IdAssignment::Shuffled { seed });
+    let (pooled, seq) = (fresh(), fresh());
+    let sparse_p = run_rounds_with(&pooled, alg, seed, cap, &Parallel);
+    let dense = run_rounds_dense(&seq, alg, seed, cap);
+
+    let reference = run_rounds_reference(&seq, alg, seed, cap);
     assert_eq!(dense.outputs, reference.outputs, "{label}: dense outputs diverged from reference");
     assert_eq!(dense.trace, reference.trace, "{label}: dense trace diverged from reference");
     assert_eq!(dense.undecided, reference.undecided, "{label}: dense undecided diverged");
 
-    let sparse = run_rounds(net, alg, seed, cap);
+    assert_eq!(sparse_p.outputs, dense.outputs, "{label}: pooled sparse outputs diverged");
+    assert_eq!(sparse_p.trace, dense.trace, "{label}: pooled sparse trace diverged");
+    assert_eq!(sparse_p.undecided, dense.undecided, "{label}: pooled undecided diverged");
+
+    let sparse = run_rounds(&pooled, alg, seed, cap);
     assert_eq!(sparse.outputs, dense.outputs, "{label}: sparse outputs diverged from dense oracle");
     assert_eq!(sparse.trace, dense.trace, "{label}: sparse trace diverged from dense oracle");
     assert_eq!(sparse.undecided, dense.undecided, "{label}: undecided attribution diverged");
 
-    let dense_p = run_rounds_dense_with(net, alg, seed, cap, &Parallel);
+    let dense_p = run_rounds_dense_with(&seq, alg, seed, cap, &Parallel);
     assert_eq!(dense_p.outputs, dense.outputs, "{label}: pooled dense outputs diverged");
     assert_eq!(dense_p.trace, dense.trace, "{label}: pooled dense trace diverged");
     assert_eq!(dense_p.undecided, dense.undecided, "{label}: pooled dense undecided diverged");
-
-    let sparse_p = run_rounds_with(net, alg, seed, cap, &Parallel);
-    assert_eq!(sparse_p.outputs, dense.outputs, "{label}: pooled sparse outputs diverged");
-    assert_eq!(sparse_p.trace, dense.trace, "{label}: pooled sparse trace diverged");
-    assert_eq!(sparse_p.undecided, dense.undecided, "{label}: pooled undecided diverged");
 }
 
 /// One instance per generator-zoo family, sized and seeded from proptest
@@ -151,8 +162,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (name, g) = zoo_graph(family, size, seed);
-        let net = Network::new(g, IdAssignment::Shuffled { seed });
-        assert_engines_agree(&net, &DistributedLuby, seed, 400, name);
+        assert_engines_agree(&g, &DistributedLuby, seed, 400, name);
     }
 
     #[test]
@@ -162,8 +172,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (name, g) = zoo_graph(family, size, seed);
-        let net = Network::new(g, IdAssignment::Shuffled { seed });
-        assert_engines_agree(&net, &DistributedMatching, seed, 400, name);
+        assert_engines_agree(&g, &DistributedMatching, seed, 400, name);
     }
 
     /// Multigraphs (parallel edges) and self-loops go straight at the
@@ -182,10 +191,9 @@ proptest! {
         looped.add_edge(NodeId(0), NodeId(0));
         looped.add_edge(NodeId((n - 1) as u32), NodeId((n - 1) as u32));
         for (name, g) in [("multigraph", multi), ("self-loops", looped)] {
-            let net = Network::new(g, IdAssignment::Shuffled { seed });
-            assert_engines_agree(&net, &DistributedLuby, seed, 200, name);
-            assert_engines_agree(&net, &DistributedMatching, seed, 200, name);
-            assert_engines_agree(&net, &PortTag, seed, 200, name);
+            assert_engines_agree(&g, &DistributedLuby, seed, 200, name);
+            assert_engines_agree(&g, &DistributedMatching, seed, 200, name);
+            assert_engines_agree(&g, &PortTag, seed, 200, name);
         }
     }
 }
@@ -215,7 +223,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Pooled, sequential, dense and reference runs agree when the
-    /// frontier crosses chunk boundaries.
+    /// frontier crosses chunk boundaries, and the pooled port-plane build
+    /// spans several blocks.
     #[test]
     fn frontiers_spanning_several_chunks_agree(
         n in 1100usize..2200,
@@ -225,11 +234,10 @@ proptest! {
         let n = n & !1;
         let g = chunky_graph(n, d, seed);
         prop_assert!(g.node_count() > 2 * 512, "the instance must span several chunks");
-        let net = Network::new(g, IdAssignment::Shuffled { seed });
-        assert_engines_agree(&net, &DistributedLuby, seed, 200, "chunky");
-        assert_engines_agree(&net, &DistributedMatching, seed, 200, "chunky");
-        assert_engines_agree(&net, &Pulse, seed, 40, "chunky");
-        assert_engines_agree(&net, &PortTag, seed, 40, "chunky");
+        assert_engines_agree(&g, &DistributedLuby, seed, 200, "chunky");
+        assert_engines_agree(&g, &DistributedMatching, seed, 200, "chunky");
+        assert_engines_agree(&g, &Pulse, seed, 40, "chunky");
+        assert_engines_agree(&g, &PortTag, seed, 40, "chunky");
     }
 }
 
@@ -391,8 +399,8 @@ fn quiescent_pulse_fast_forwards_identically_to_dense() {
         ("caterpillar", gen::caterpillar(24, 24, 3)),
         ("disjoint", gen::disjoint_cycles(4, 9)),
     ] {
+        assert_engines_agree(&g, &Pulse, 13, 5000, name);
         let net = Network::new(g, IdAssignment::Shuffled { seed: 13 });
-        assert_engines_agree(&net, &Pulse, 13, 5000, name);
         let out = run_rounds(&net, &Pulse, 13, 5000);
         assert_eq!(out.trace.rounds, 5000, "{name}: fast-forward must land on the cap");
         assert!(!out.trace.completed, "{name}: a quiescent undecided run is not completed");

@@ -26,7 +26,8 @@
 //!   straight into its slot; in the receive phase
 //!   [`RoundAlgorithm::receive`] reads the node's inbox in port order as
 //!   an iterator that borrows the messages from the senders' slots,
-//!   through a per-run table of mated ports. Nothing is allocated or
+//!   through a table of mated ports that the network builds once and
+//!   shares across runs. Nothing is allocated or
 //!   copied per node or per message. Both phases fan out across a
 //!   [`NodeExecutor`] in node-contiguous chunks. By default only the
 //!   **active frontier** runs — nodes whose closed neighborhood sent a

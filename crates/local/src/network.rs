@@ -1,9 +1,12 @@
 //! A graph equipped with LOCAL-model identifiers.
 
+use crate::rounds::PortPlane;
+use crate::NodeExecutor;
 use lcl_graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
 
 /// How LOCAL identifiers are assigned to nodes.
 ///
@@ -71,6 +74,9 @@ pub struct Network {
     /// when building contexts, which would otherwise rescan the degree
     /// table `n` times.
     max_deg: usize,
+    /// The round engine's routing tables, built by the first
+    /// round-algorithm run and shared by every later one.
+    plane: OnceLock<PortPlane>,
 }
 
 impl Network {
@@ -85,7 +91,7 @@ impl Network {
         let n = graph.node_count();
         let ids = assigned_ids(n, assignment);
         let max_deg = graph.max_degree();
-        Network { graph, ids, n_known: n, max_deg }
+        Network { graph, ids, n_known: n, max_deg, plane: OnceLock::new() }
     }
 
     /// Wraps a graph with explicitly chosen identifiers (adversarial runs).
@@ -104,7 +110,7 @@ impl Network {
         assert_eq!(sorted.len(), ids.len(), "ids must be unique");
         let n = graph.node_count();
         let max_deg = graph.max_degree();
-        Network { graph, ids, n_known: n, max_deg }
+        Network { graph, ids, n_known: n, max_deg, plane: OnceLock::new() }
     }
 
     /// A component part of `net` (see [`crate::map_components`]): `graph`
@@ -115,7 +121,7 @@ impl Network {
     pub(crate) fn part_of(net: &Network, graph: Graph, ids: Vec<u64>) -> Network {
         debug_assert_eq!(ids.len(), graph.node_count(), "one id per node required");
         debug_assert!(graph.max_degree() <= net.max_deg, "a part cannot exceed its network's Δ");
-        Network { graph, ids, n_known: net.n_known, max_deg: net.max_deg }
+        Network { graph, ids, n_known: net.n_known, max_deg: net.max_deg, plane: OnceLock::new() }
     }
 
     /// Overrides the `n` announced to nodes (the paper often gives nodes an
@@ -184,6 +190,13 @@ impl Network {
     #[must_use]
     pub fn max_degree(&self) -> usize {
         self.max_deg
+    }
+
+    /// The round engine's port plane of this network's graph, built across
+    /// `exec` by the first call; later calls share it, whatever their
+    /// executor.
+    pub(crate) fn port_plane<X: NodeExecutor>(&self, exec: &X) -> &PortPlane {
+        self.plane.get_or_init(|| PortPlane::build(&self.graph, exec))
     }
 }
 

@@ -19,9 +19,14 @@
 //!
 //! Messages travel through a **port plane**: outbox slots in node-major CSR
 //! order, node `v` owning slots `first[v]..first[v + 1]` (one per port, a
-//! `u32` round stamp plus the message). A round is two pooled phases over
-//! the frontier, cut into chunks of `CHUNK` frontier nodes; a chunk covers
-//! a node-contiguous range, so `split_at_mut` hands each worker its own
+//! `u32` round stamp plus the message). The plane's routing tables belong
+//! to the [`Network`]: the first round-algorithm run on a network builds
+//! them across its executor, in blocks of `CHUNK` nodes, and every later
+//! run shares them (the graph is immutable inside a `Network`). Each run
+//! builds its own outbox slots and per-node `(state, rng)` cells and
+//! outputs across the executor too. A round is two pooled phases over the
+//! frontier, cut into chunks of `CHUNK` frontier nodes; a chunk covers a
+//! node-contiguous range, so `split_at_mut` hands each worker its own
 //! slots, states and outputs.
 //!
 //! 1. **Send:** each frontier node's `send` writes every message through a
@@ -30,7 +35,7 @@
 //!    bitmap (atomic OR); a word scan then yields the next frontier in
 //!    index order.
 //! 2. **Receive:** each node of that frontier reads its inbox in port
-//!    order through the per-run `mate` table (receiving port → the slot
+//!    order through the plane's `mate` table (receiving port → the slot
 //!    feeding it), as an iterator that borrows the live messages where
 //!    they lie, runs `receive` on its `(state, rng)` cell in place, and is
 //!    polled for its output in the same pass.
@@ -312,7 +317,7 @@ where
 {
     let n = net.len();
     let ids = net.ids();
-    let plane = PortPlane::new(net.graph());
+    let plane = net.port_plane(exec);
     let ctx = |v: usize| NodeCtx {
         id: ids[v],
         degree: plane.degree(v),
@@ -331,7 +336,7 @@ where
     let mut undecided = outputs.iter().filter(|o| o.is_none()).count();
 
     let mut slots: Vec<Slot<A::Msg>> =
-        (0..plane.mate.len()).map(|_| Slot { stamp: 0, msg: None }).collect();
+        exec.map_nodes(plane.mate.len(), |_| Slot { stamp: 0, msg: None });
     let mut marks: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
     // Round 1 executes everyone, as the dense oracle does.
     let mut nodes: Vec<u32> = (0..n as u32).collect();
@@ -442,9 +447,11 @@ where
     RoundOutcome { outputs, trace: RoundTrace { rounds, completed }, undecided }
 }
 
-/// The per-run routing tables, in node-major CSR order: slot `first[v] + p`
-/// is port `p` of node `v`.
-struct PortPlane {
+/// The round engine's routing tables, in node-major CSR order: slot
+/// `first[v] + p` is port `p` of node `v`. A [`Network`] builds its plane
+/// once, on the first round-algorithm run, and every later run shares it.
+#[derive(Clone, Debug)]
+pub(crate) struct PortPlane {
     /// Per node, plus one: the first slot of the node.
     first: Vec<u32>,
     /// Per slot, as a receiving port: the slot whose message arrives there.
@@ -454,24 +461,37 @@ struct PortPlane {
 }
 
 impl PortPlane {
-    fn new(g: &Graph) -> PortPlane {
-        let mut first = Vec::with_capacity(g.node_count() + 1);
+    /// Builds the plane of `g` across `exec`: each block of `CHUNK` nodes
+    /// fills its own range of the zeroed `mate` and `peer` tables.
+    pub(crate) fn build<X: NodeExecutor>(g: &Graph, exec: &X) -> PortPlane {
+        let n = g.node_count();
+        let mut first = Vec::with_capacity(n + 1);
         first.push(0u32);
         for v in g.nodes() {
             first.push(first[v.index()] + g.degree(v) as u32);
         }
-        let slots = first[g.node_count()] as usize;
-        let mut mate = Vec::with_capacity(slots);
-        let mut peer = Vec::with_capacity(slots);
-        for v in g.nodes() {
-            for &h in g.ports(v) {
-                let w = g.half_edge_peer(h);
-                // A message sent on `h` arrives at the peer's port for the
-                // opposite half-edge; for a self-loop, at the other port.
-                mate.push(first[w.index()] + g.peer_port(h) as u32);
-                peer.push(w.0);
+        let slots = first[n] as usize;
+        let (mut mate, mut peer) = (vec![0u32; slots], vec![0u32; slots]);
+        let starts: Vec<usize> = (0..n).step_by(CHUNK).map(|v| first[v] as usize).collect();
+        // Block `k`: nodes from `k * CHUNK` on, and their `mate` and `peer`
+        // ranges.
+        let mut blocks: Vec<(&mut [u32], &mut [u32])> =
+            carve(&mut mate, &starts).into_iter().zip(carve(&mut peer, &starts)).collect();
+        exec.update_nodes(&mut blocks, |k, (mate, peer)| {
+            let head = k * CHUNK;
+            let base = first[head] as usize;
+            for v in head..n.min(head + CHUNK) {
+                let own = first[v] as usize - base;
+                for (p, &h) in g.ports(NodeId(v as u32)).iter().enumerate() {
+                    let w = g.half_edge_peer(h);
+                    // A message sent on `h` arrives at the peer's port for
+                    // the opposite half-edge; for a self-loop, at the other
+                    // port.
+                    mate[own + p] = first[w.index()] + g.peer_port(h) as u32;
+                    peer[own + p] = w.0;
+                }
             }
-        }
+        });
         PortPlane { first, mate, peer }
     }
 
@@ -777,6 +797,29 @@ mod tests {
         let out = run_rounds(&net, &PortNumbers, 0, 10).into_outputs();
         assert_eq!(out[0], vec![(0, 1), (1, 0), (2, 0)]);
         assert_eq!(out[1], vec![(0, 2)]);
+    }
+
+    /// A network builds its plane once, block by block, and every later
+    /// run shares it: each port's `peer` and `mate` entry names the
+    /// neighbor and the neighbor's port for the same edge.
+    #[test]
+    fn the_port_plane_is_built_once_per_network() {
+        let g = gen::random_regular_multigraph(3 * CHUNK + 6, 3, 4).expect("even n is generable");
+        let net = Network::new(g, IdAssignment::Sequential);
+        let plane = net.port_plane(&Sequential);
+        let g = net.graph();
+        for v in g.nodes() {
+            let first = plane.first[v.index()] as usize;
+            assert_eq!(plane.degree(v.index()), g.degree(v));
+            for (p, &h) in g.ports(v).iter().enumerate() {
+                let w = g.half_edge_peer(h);
+                assert_eq!(plane.peer[first + p], w.0, "{v:?} port {p}");
+                let mate = plane.first[w.index()] as usize + g.peer_port(h);
+                assert_eq!(plane.mate[first + p] as usize, mate, "{v:?} port {p}");
+            }
+        }
+        let _ = run_rounds(&net, &FloodMax, 0, 3);
+        assert!(std::ptr::eq(plane, net.port_plane(&Sequential)), "a run reuses the plane");
     }
 
     #[test]
