@@ -6,11 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcl_bench::Parallel;
-use lcl_graph::gen;
-use lcl_local::{
-    run_views_with, Decision, IdAssignment, Network, NodeExecutor, Sequential, View, ViewAlgorithm,
-    ViewCtx,
-};
+use lcl_local::{NodeExecutor, Sequential};
 
 /// A few integer mixes: roughly the cost of a tiny per-node decision.
 fn tiny_work(i: usize) -> u64 {
@@ -21,7 +17,7 @@ fn tiny_work(i: usize) -> u64 {
     z
 }
 
-/// A medium-sized loop: roughly one small-ball extraction.
+/// A medium-sized loop: a few hundred dependent multiply-adds.
 fn medium_work(i: usize) -> u64 {
     (0..512).fold(i as u64, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
 }
@@ -80,32 +76,5 @@ fn rayon_width() -> usize {
     rayon::current_num_threads().max(2)
 }
 
-/// Outputs the center id once the view reaches radius 2: a minimal real
-/// view-engine workload, so this measures end-to-end engine dispatch.
-struct Radius2;
-impl ViewAlgorithm for Radius2 {
-    type Output = u64;
-    fn decide(&self, view: &View, _ctx: &ViewCtx) -> Decision<u64> {
-        if view.radius() >= 2 || view.saturated() {
-            Decision::Output(view.center_id())
-        } else {
-            Decision::Extend(view.radius() + 1)
-        }
-    }
-}
-
-fn bench_engine_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool-view-engine");
-    group.sample_size(15);
-    let net = Network::new(gen::cycle(8192), IdAssignment::Shuffled { seed: 1 });
-    group.bench_with_input(BenchmarkId::new("run-views-seq", 8192), &net, |b, net| {
-        b.iter(|| run_views_with(net, &Radius2, 7, &Sequential).outputs.len());
-    });
-    group.bench_with_input(BenchmarkId::new("run-views-pool", 8192), &net, |b, net| {
-        b.iter(|| run_views_with(net, &Radius2, 7, &Parallel).outputs.len());
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_dispatch, bench_engine_dispatch);
+criterion_group!(benches, bench_dispatch);
 criterion_main!(benches);

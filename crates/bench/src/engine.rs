@@ -7,13 +7,13 @@
 //! rayon shim and stitches the per-cell rows back together **in cell
 //! order**, so a parallel run's report is byte-identical to a sequential
 //! run's — randomness never leaks between cells because every cell derives
-//! its own counter-mode RNG streams from its `(run seed, node index)` pairs,
-//! exactly as the single-run engines do.
+//! its own counter-mode RNG streams from its `(run seed, LOCAL id)` pairs,
+//! exactly as the round engine does.
 //!
 //! [`Parallel`] additionally implements [`lcl_local::NodeExecutor`], so a
 //! *single* simulation can fan its per-node work across cores through the
-//! `run_views_with` / `run_rounds_with` hooks, with the same bit-identical
-//! guarantee (enforced by `tests/determinism.rs`).
+//! `run_rounds_with` hook and the `run_with` algorithm runners, with the
+//! same bit-identical guarantee (enforced by `tests/determinism.rs`).
 
 use crate::{Report, Row};
 use lcl_local::NodeExecutor;
@@ -41,17 +41,6 @@ impl NodeExecutor for Parallel {
         F: Fn(usize, &mut T) + Sync,
     {
         items.par_iter_mut().enumerate().for_each(|(i, item)| f(i, item));
-    }
-
-    fn map_nodes_init<T, S, I, F>(&self, len: usize, init: I, f: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        // One scratch per worker chunk (rayon's `map_init`): the view
-        // engine hands out ball caches this way.
-        (0..len).into_par_iter().map_init(init, f).collect()
     }
 }
 
@@ -88,18 +77,6 @@ impl NodeExecutor for EngineExec {
         match self {
             EngineExec::Sequential => lcl_local::Sequential.update_nodes(items, f),
             EngineExec::Parallel => Parallel.update_nodes(items, f),
-        }
-    }
-
-    fn map_nodes_init<T, S, I, F>(&self, len: usize, init: I, f: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        match self {
-            EngineExec::Sequential => lcl_local::Sequential.map_nodes_init(len, init, f),
-            EngineExec::Parallel => Parallel.map_nodes_init(len, init, f),
         }
     }
 }
@@ -212,12 +189,10 @@ impl BatchRunner {
         BatchRunner { parallel: false }
     }
 
-    /// Parallel unless the process was started with `--seq` or the
-    /// `LCL_BENCH_SEQUENTIAL` environment variable is set — the escape
-    /// hatch the determinism regression test uses to compare engines.
-    /// (Delegates to [`crate::CliOpts`], the single owner of flag
-    /// parsing; binaries that also need other flags use
-    /// [`BatchRunner::from_opts`] directly.)
+    /// Parallel unless the process was started with `--seq` — the switch
+    /// the determinism gates use to compare engines. (Delegates to
+    /// [`crate::CliOpts`], the single owner of flag parsing; binaries that
+    /// also need other flags use [`BatchRunner::from_opts`] directly.)
     #[must_use]
     pub fn from_cli() -> Self {
         Self::from_opts(&crate::CliOpts::parse())

@@ -58,8 +58,8 @@ impl From<&Row> for RowRecord {
 /// Parsed common CLI surface of every experiment binary:
 ///
 /// * `--json` — machine-readable rows on stdout instead of the table;
-/// * `--quick` — shrink the sweep (also via `LCL_BENCH_QUICK`);
-/// * `--seq` — run cells sequentially (also via `LCL_BENCH_SEQUENTIAL`);
+/// * `--quick` — shrink the sweep;
+/// * `--seq` — run cells sequentially;
 /// * `--out <dir>` — run-store root (default `results/`);
 /// * `--run-id <id>` — explicit run id (default: UTC stamp + pid);
 /// * `--no-persist` — render only, write nothing.
@@ -85,8 +85,7 @@ pub struct CliOpts {
 }
 
 impl CliOpts {
-    /// Parses the process arguments (plus the `LCL_BENCH_*` env escape
-    /// hatches the determinism harness uses).
+    /// Parses the process arguments.
     #[must_use]
     pub fn parse() -> Self {
         Self::from_args(std::env::args().skip(1))
@@ -112,8 +111,8 @@ impl CliOpts {
         let has = |flag: &str| args.iter().any(|a| a == flag);
         CliOpts {
             json: has("--json"),
-            quick: has("--quick") || std::env::var_os("LCL_BENCH_QUICK").is_some(),
-            seq: has("--seq") || std::env::var_os("LCL_BENCH_SEQUENTIAL").is_some(),
+            quick: has("--quick"),
+            seq: has("--seq"),
             out: value_of("--out").map_or_else(RunStore::default_root, PathBuf::from),
             run_id: value_of("--run-id"),
             persist: !has("--no-persist"),

@@ -1,13 +1,14 @@
 //! Determinism regression tests: the parallel experiment engine must be
 //! **bit-identical** to sequential execution at every level — whole batch
-//! grids, per-node view simulation, and per-node round simulation.
+//! grids, executor-threaded algorithm runners, and per-node round
+//! simulation.
 
 use lcl_algos::{linial, luby_rounds, matching_rounds, sinkless_det, sinkless_rand};
 use lcl_bench::{grid, BatchRunner, Cell, Parallel, Row};
 use lcl_graph::gen;
 use lcl_local::{
-    run_rounds, run_rounds_dense, run_rounds_dense_with, run_rounds_with, run_views,
-    run_views_with, Decision, IdAssignment, Network, Sequential, View, ViewAlgorithm, ViewCtx,
+    run_rounds, run_rounds_dense, run_rounds_dense_with, run_rounds_with, IdAssignment, Network,
+    Sequential,
 };
 
 /// A realistic measurement closure: real generators, real algorithms, real
@@ -49,42 +50,6 @@ fn batch_grid_parallel_is_byte_identical_to_sequential() {
     );
     assert_eq!(seq.render(false), par.render(false));
     assert_eq!(seq.rows().len(), 2 * cells.len());
-}
-
-/// Reads every visible node's random tape at radius 2 — output depends on
-/// structure, identifiers, *and* tapes, so any engine-level divergence
-/// (ordering, RNG stream sharing) would show up here.
-struct TapeSummary;
-
-impl ViewAlgorithm for TapeSummary {
-    type Output = Vec<(u64, u64)>;
-
-    fn decide(&self, view: &View, _ctx: &ViewCtx) -> Decision<Self::Output> {
-        if view.radius() < 2 && !view.saturated() {
-            return Decision::Extend(view.radius() + 1);
-        }
-        let mut words: Vec<(u64, u64)> =
-            view.graph().nodes().map(|v| (view.id(v), view.rand_word(v, 0))).collect();
-        words.sort_unstable();
-        Decision::Output(words)
-    }
-}
-
-#[test]
-fn view_engine_parallel_matches_sequential() {
-    for (name, g) in [
-        ("torus", gen::torus(5, 7)),
-        ("3reg", gen::random_regular(60, 3, 9).expect("generable")),
-        ("disjoint", gen::disjoint_cycles(4, 7)),
-    ] {
-        let net = Network::new(g, IdAssignment::Shuffled { seed: 11 });
-        let baseline = run_views(&net, &TapeSummary, 42);
-        let seq = run_views_with(&net, &TapeSummary, 42, &Sequential);
-        let par = run_views_with(&net, &TapeSummary, 42, &Parallel);
-        assert_eq!(baseline.outputs, seq.outputs, "{name}: hook changed sequential results");
-        assert_eq!(seq.outputs, par.outputs, "{name}: parallel outputs diverged");
-        assert_eq!(seq.trace, par.trace, "{name}: parallel radii diverged");
-    }
 }
 
 /// Pooled runs on one network, which builds its port plane on the first
@@ -253,19 +218,6 @@ fn sinkless_det_pooled_matches_sequential() {
         assert_eq!(seq.labeling, par.labeling, "labeling diverged (seed {seed})");
         assert_eq!(seq.trace, par.trace, "radius trace diverged (seed {seed})");
     }
-}
-
-/// The cache-backed view engine must stay deterministic under worker-
-/// scoped ball caches: per-worker cache state (a pure accelerator) must
-/// never leak into outputs, whatever the chunking.
-#[test]
-fn view_engine_cache_is_invisible() {
-    let g = gen::random_regular(80, 3, 3).expect("generable");
-    let net = Network::new(g, IdAssignment::SparseShuffled { seed: 3 });
-    let baseline = run_views(&net, &TapeSummary, 9);
-    let par = run_views_with(&net, &TapeSummary, 9, &Parallel);
-    assert_eq!(baseline.outputs, par.outputs);
-    assert_eq!(baseline.trace, par.trace);
 }
 
 #[test]

@@ -1,24 +1,19 @@
-//! Criterion benchmarks for the graph substrate's hot primitives: ball
-//! extraction (the inner loop of the view engine), shortest-cycle search
-//! (the inner loop of deterministic sinkless orientation), exact
-//! eccentricities (the bit-parallel kernel behind `diameter` and the gadget
-//! verifier's radii) on an expander and on a cycle, its worst case, and
-//! random 3-regular generation, rejected pairings included (its id names
-//! the edge count, so time / edges is the local ns per edge).
+//! Criterion benchmarks for the graph substrate's hot primitives:
+//! shortest-cycle search (the inner loop of deterministic sinkless
+//! orientation), exact eccentricities (the bit-parallel kernel behind
+//! `diameter` and the gadget verifier's radii) on an expander and on a
+//! cycle, its worst case, and random 3-regular generation, rejected
+//! pairings included (its id names the edge count, so time / edges is the
+//! local ns per edge).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lcl_graph::{gen, Ball, CycleSearch, NodeId};
+use lcl_graph::{gen, CycleSearch, NodeId};
 
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph-primitives");
     group.sample_size(20);
     for &n in &[1024usize, 8192] {
         let g = gen::random_regular(n, 3, 1).expect("generable");
-        for &r in &[4u32, 8] {
-            group.bench_with_input(BenchmarkId::new(format!("ball-r{r}"), n), &g, |b, g| {
-                b.iter(|| Ball::extract(g, NodeId(0), r));
-            });
-        }
         let s = CycleSearch::default();
         group.bench_with_input(BenchmarkId::new("girth-capped-25", n), &g, |b, g| {
             b.iter(|| {

@@ -6,10 +6,9 @@
 //! CSR-of-components shape) instead of one `Vec` per component: a per-node
 //! component stamp, a flat member list grouped by component, and
 //! per-component offsets into it. The stamp table doubles as the BFS
-//! "seen" scratch (a node is visited iff its stamp is set — the stamped-
-//! scratch idiom the ball cache uses), and the member list doubles as
-//! the BFS queue, so the whole pass is `O(n + m)` with exactly three
-//! allocations and no per-component `Vec` churn.
+//! "seen" scratch (a node is visited iff its stamp is set), and the
+//! member list doubles as the BFS queue, so the whole pass is `O(n + m)`
+//! with exactly three allocations and no per-component `Vec` churn.
 //!
 //! Components are numbered by their smallest node id; members appear in
 //! BFS discovery order, starting at that smallest id. This is the work

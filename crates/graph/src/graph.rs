@@ -342,7 +342,7 @@ impl Graph {
     /// dropping the dead segments and doubling slack that incremental
     /// [`Graph::add_edge`] construction leaves behind. After this call
     /// `port_slab_len() == 2 · edge_count()` and neighbor iteration walks
-    /// the slab strictly forward — the layout [`Graph::from_tables`]
+    /// the slab strictly forward — the layout `Graph::from_tables`
     /// produces. `O(n + m)`; a no-op on an already-packed graph. The
     /// half-edge tables are position-independent and unaffected.
     ///

@@ -29,14 +29,14 @@
 //!
 //! The [`gen`] module contains the workload generators used by the
 //! experiment harness (cycles, random regular graphs via the pairing model,
-//! tori, trees, …), and [`Ball`] implements radius-`r` view extraction — the
-//! core primitive of the LOCAL model.
+//! tori, trees, …). [`bfs_distances`] and [`Components`] give the
+//! neighborhoods and connected components the algorithms and checkers
+//! read, and [`ShardedSnapshot`] stores a frozen graph as per-component
+//! images.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ball;
-mod ball_cache;
 mod coloring;
 mod components;
 mod cycles;
@@ -51,8 +51,6 @@ mod traversal;
 
 pub mod gen;
 
-pub use ball::Ball;
-pub use ball_cache::{BallCache, CacheStats};
 pub use coloring::{
     distance_k_coloring, has_locally_distinct_neighborhood, is_distance_k_coloring,
 };

@@ -2,8 +2,8 @@
 
 use lcl_graph::{
     bfs_distances, diameter, distance_k_coloring, eccentricities, gen, girth,
-    is_distance_k_coloring, Ball, CanonicalCycle, Components, CycleSearch, EccentricityKernel,
-    EdgeId, Graph, NodeId,
+    is_distance_k_coloring, CanonicalCycle, Components, CycleSearch, EccentricityKernel, EdgeId,
+    Graph, NodeId,
 };
 use proptest::prelude::*;
 
@@ -131,29 +131,6 @@ proptest! {
             let [a, b] = g.endpoints(e);
             prop_assert_eq!(comps.component_of(a), comps.component_of(b), "edge crosses components");
         }
-    }
-
-    #[test]
-    fn ball_distances_match_global_bfs(g in arb_multigraph(), r in 0u32..5) {
-        if g.node_count() == 0 { return Ok(()); }
-        let center = NodeId(0);
-        let ball = Ball::extract(&g, center, r);
-        let global = bfs_distances(&g, center);
-        for i in 0..ball.len() {
-            let local = NodeId(i as u32);
-            let host = ball.to_host_node(local);
-            prop_assert_eq!(
-                Some(ball.dist_from_center(local)),
-                global[host.index()],
-                "ball distance disagrees with global BFS"
-            );
-            prop_assert!(ball.dist_from_center(local) <= r);
-        }
-        // Completeness: every node within distance r is in the ball.
-        let in_ball = (0..g.node_count())
-            .filter(|&i| global[i].is_some_and(|d| d <= r))
-            .count();
-        prop_assert_eq!(in_ball, ball.len());
     }
 
     #[test]

@@ -47,7 +47,6 @@
 
 use crate::network::Network;
 use crate::trace::RoundTrace;
-use crate::views::rand_word;
 use crate::{NodeExecutor, Sequential};
 use lcl_graph::{Graph, NodeId};
 use rand::SeedableRng;
@@ -185,6 +184,22 @@ impl<O> RoundOutcome<O> {
             .map(|o| o.expect("empty undecided list implies every output is present"))
             .collect()
     }
+}
+
+/// Stateless per-`(seed, id, index)` random word: SplitMix64 over a mixed
+/// key. The round engine derives each node's RNG stream from it, keyed by
+/// the node's LOCAL identifier, and executor-threaded randomized runners
+/// (e.g. `lcl_algos::sinkless_rand`) use it for counter-mode draws that are
+/// independent of node iteration order — the property that makes parallel
+/// runs bit-identical to sequential ones.
+#[must_use]
+pub fn rand_word(seed: u64, id: u64, k: u64) -> u64 {
+    let mut z =
+        seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ k.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// True when `LCL_DENSE_ROUNDS` forces the dense oracle behind the default
@@ -851,6 +866,22 @@ mod tests {
         assert_eq!(a, b);
         let c = run_rounds(&net, &CoinOnce, 10, 1).into_outputs();
         assert_ne!(a, c);
+    }
+
+    /// Every node RNG stream and every counter-mode draw derives from
+    /// `rand_word`, so its values are pinned: a change here changes rows.
+    #[test]
+    fn rand_word_values_are_pinned() {
+        let engine_key = 0x0C0D_E5EED;
+        for (seed, id, k, word) in [
+            (0, 0, 0, 0xE220_A839_7B1D_CDAF),
+            (42, 7, engine_key, 0xFBEB_960F_3925_E740),
+            (0xDEAD_BEEF, u64::MAX, engine_key, 0x5B2F_A3FB_71BD_18D0),
+            (u64::MAX, 1, 3, 0x5B42_D938_1594_14DD),
+            (161, 1 << 40, 0, 0xF226_C7D0_BC28_590A),
+        ] {
+            assert_eq!(rand_word(seed, id, k), word, "rand_word({seed:#x}, {id:#x}, {k:#x})");
+        }
     }
 
     /// A deliberately broken protocol: sends on `degree` (one past the

@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Per-node record of the view radius each node needed (view engine).
+/// Per-node record of the view radius each node's output depended on, as
+/// reported by a centralized simulation of a LOCAL algorithm.
 ///
 /// The **measured complexity** of a run is [`LocalityTrace::max_radius`]:
 /// in the LOCAL model, gathering radius `T` is equivalent to running for

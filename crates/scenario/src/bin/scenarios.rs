@@ -30,14 +30,14 @@
 //! `--seq` regardless.
 //! `--no-sched` restores contiguous chunk claiming; `--sched` forces
 //! planning even under `--seq`.
-//! `--snapshot-dir DIR` (or `LCL_SNAPSHOT_DIR`) caches built instances as
-//! frozen snapshots keyed by `(family, knobs, n, seed)` — cache hits map
-//! the graph back in instead of re-generating it, with a hit/miss note on
-//! stderr. With both `--shard` and a snapshot dir, cells above
-//! `--huge-threshold N` nodes (default `2^20`) are streamed into
-//! per-component sharded stores and measured shard by shard — the
-//! instance is never materialized whole, and the shards enter the
-//! scheduler pool as individual work items next to the small cells.
+//! `--snapshot-dir DIR` caches built instances as frozen snapshots keyed
+//! by `(family, knobs, n, seed)` — cache hits map the graph back in
+//! instead of re-generating it, with a hit/miss note on stderr. With both
+//! `--shard` and a snapshot dir, cells above `--huge-threshold N` nodes
+//! (default `2^20`) are streamed into per-component sharded stores and
+//! measured shard by shard — the instance is never materialized whole,
+//! and the shards enter the scheduler pool as individual work items next
+//! to the small cells.
 //! A `--huge-threshold` that is not a node count or a snapshot dir that
 //! cannot be created is rejected up front: one line on stderr, exit 2.
 //! Specs resolve from `--spec-dir` (default `scenarios/`) first,

@@ -43,7 +43,6 @@ use lcl_graph::ShardedSnapshot;
 use lcl_local::{assigned_ids, map_components, IdAssignment, Network, NodeExecutor, Sequential};
 use lcl_report::{cost_history, RunStore};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// Experiment id stamped on every scenario row (the run-store directory
@@ -80,7 +79,7 @@ impl fmt::Display for CellError {
 
 /// How cells are measured, beyond the executor: the switches `run_spec`
 /// derives from the CLI surface (`--certify`, `--shard`,
-/// `--snapshot-dir` / `LCL_SNAPSHOT_DIR`, `--huge-threshold`).
+/// `--snapshot-dir`, `--huge-threshold`).
 #[derive(Debug)]
 pub struct MeasureOpts {
     /// Re-check every algorithm output with the independent `lcl_certify`
@@ -113,8 +112,7 @@ impl Default for MeasureOpts {
 impl MeasureOpts {
     /// Derives the measurement switches from parsed CLI options:
     /// `--certify`, `--shard`, `--huge-threshold N` (default `2^20`), and
-    /// `--snapshot-dir DIR` (falling back to the `LCL_SNAPSHOT_DIR`
-    /// environment variable).
+    /// `--snapshot-dir DIR`.
     ///
     /// # Errors
     ///
@@ -122,14 +120,10 @@ impl MeasureOpts {
     /// a requested snapshot directory cannot be created — a run asked to
     /// cache must not silently run uncached.
     pub fn from_cli(opts: &CliOpts) -> Result<MeasureOpts, String> {
-        let dir = opts
+        let snapshots = opts
             .value_of("--snapshot-dir")
-            .map(PathBuf::from)
-            .or_else(|| std::env::var_os("LCL_SNAPSHOT_DIR").map(PathBuf::from));
-        let snapshots = dir
             .map(|d| {
-                SnapshotCache::open(&d)
-                    .map_err(|e| format!("cannot open snapshot dir {}: {e}", d.display()))
+                SnapshotCache::open(d).map_err(|e| format!("cannot open snapshot dir {d}: {e}"))
             })
             .transpose()?;
         let mut m = MeasureOpts {

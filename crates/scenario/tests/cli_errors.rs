@@ -10,7 +10,7 @@ use std::process::{Command, Output, Stdio};
 fn run_zoo(extra: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_scenarios"));
     cmd.args(["run", "zoo", "--quick", "--seq", "--json", "--no-persist"]).args(extra);
-    cmd.env_remove("LCL_SNAPSHOT_DIR").envs(env.iter().copied());
+    cmd.envs(env.iter().copied());
     cmd.output().expect("scenarios binary runs")
 }
 
@@ -40,14 +40,23 @@ fn uncreatable_snapshot_dir_exits_2() {
 }
 
 #[test]
-fn huge_threshold_env_var_is_not_read() {
-    // `--huge-threshold` is the only way to set the store cut-over, so a
-    // malformed `LCL_HUGE_THRESHOLD` left in the environment is inert.
+fn huge_threshold_and_snapshot_dir_env_vars_are_not_read() {
+    // `--huge-threshold` and `--snapshot-dir` are the only ways to set the
+    // store cut-over and the snapshot cache, so a malformed
+    // `LCL_HUGE_THRESHOLD` or an uncreatable `LCL_SNAPSHOT_DIR` left in
+    // the environment is inert.
+    let file = std::env::temp_dir().join(format!("lcl-cli-env-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let dir = file.join("snaps");
     let plain = run_zoo(&[], &[]);
+    let runs = [("LCL_HUGE_THRESHOLD", "1e6"), ("LCL_SNAPSHOT_DIR", dir.to_str().unwrap())]
+        .map(|env| (env, run_zoo(&[], &[env])));
+    std::fs::remove_file(&file).ok();
     assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
-    let out = run_zoo(&[], &[("LCL_HUGE_THRESHOLD", "1e6")]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(out.stdout, plain.stdout);
+    for (env, out) in runs {
+        assert!(out.status.success(), "{env:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.stdout, plain.stdout, "{env:?}");
+    }
 }
 
 /// Runs the `scenarios` binary with `args` into a pipe whose reader is
@@ -57,7 +66,6 @@ fn into_closed_pipe(args: &[&str]) -> Output {
     drop(reader);
     Command::new(env!("CARGO_BIN_EXE_scenarios"))
         .args(args)
-        .env_remove("LCL_SNAPSHOT_DIR")
         .stdout(writer)
         .stderr(Stdio::piped())
         .output()
