@@ -201,6 +201,7 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
         "sparse_rounds",
         5.0,
         ratio,
+        "x",
         N,
         "luby:cycle+caterpillar,settled-tail:cycle",
     );

@@ -200,10 +200,10 @@ fn bench_streaming_snap(c: &mut Criterion) {
         "streaming_snap",
         1.5,
         ratio,
+        "x",
         HUGE_PARTS * PART_US,
         "16x16ms-shards+60x4ms-sleep",
-    )
-    .with_candidate_ms(sharded.as_secs_f64() * 1e3);
+    );
     match gate.write() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: BENCH_streaming_snap.json not written: {e}"),

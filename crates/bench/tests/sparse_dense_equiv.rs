@@ -24,9 +24,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// The independent routing oracle: a naive engine shaped like the pre-CSR
-/// `run_rounds_baseline` that `benches/rounds.rs` keeps. Every round it
-/// runs every node, routes each message its sink receives into fresh
+/// The independent routing oracle: a naive engine shaped like the round
+/// engine before the CSR graph core. Every round it runs every node, routes each message its sink receives into fresh
 /// nested per-node inboxes with `Graph::peer_port`, sorts each inbox by
 /// port, and lends it to `receive` from those plain `Vec`s. It shares no
 /// routing code with `lcl_local`, so agreeing with it checks the port

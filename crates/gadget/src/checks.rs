@@ -50,7 +50,10 @@ fn incidences(g: &Graph, input: &Labeling<GadgetIn>, v: NodeId) -> Result<Vec<In
 }
 
 /// Follows the unique `dir`-labeled half-edge out of `v`, if present.
-fn step(g: &Graph, input: &Labeling<GadgetIn>, v: NodeId, dir: Dir) -> Option<NodeId> {
+/// `#[inline]`: the chain walks of `psi` and `verifier` call it in their
+/// inner loops, where an out-of-line call costs time.
+#[inline]
+pub(crate) fn step(g: &Graph, input: &Labeling<GadgetIn>, v: NodeId, dir: Dir) -> Option<NodeId> {
     g.ports(v).iter().find(|&&h| input.half(h).dir() == Some(dir)).map(|&h| g.half_edge_peer(h))
 }
 

@@ -27,6 +27,7 @@
 //! checks are expressible in strict node-edge form, which is the content of
 //! the paper's Section 4.6.
 
+use crate::checks::step;
 use crate::labels::{Dir, GadgetIn};
 use lcl_core::Labeling;
 use lcl_graph::{Graph, HalfEdge, NodeId};
@@ -132,10 +133,6 @@ pub struct ChainProof {
 
 /// The direction along which each consecutive chain pair is linked.
 const CHAIN_DIRS: [Dir; 4] = [Dir::Right, Dir::LChild, Dir::Left, Dir::Parent];
-
-fn step(g: &Graph, input: &Labeling<GadgetIn>, v: NodeId, dir: Dir) -> Option<NodeId> {
-    g.ports(v).iter().find(|&&h| input.half(h).dir() == Some(dir)).map(|&h| g.half_edge_peer(h))
-}
 
 /// Attempts to build a chain proof starting at `u`: succeeds exactly when
 /// the 2d path exists and does **not** return to `u`.

@@ -17,7 +17,7 @@
 //! constraints — is exercised by the adversarial tests at the bottom and by
 //! property tests in the integration suite.
 
-use crate::checks::structure_errors;
+use crate::checks::{step, structure_errors};
 use crate::labels::{Dir, GadgetIn, NodeKind};
 use lcl_core::Labeling;
 use lcl_graph::{Components, Graph, NodeId};
@@ -62,11 +62,6 @@ pub struct PsiViolation {
     pub node: NodeId,
     /// Which constraint, with the paper's numbering.
     pub why: String,
-}
-
-/// Follows the unique `dir`-labeled half-edge out of `v` (input labels).
-fn step(g: &Graph, input: &Labeling<GadgetIn>, v: NodeId, dir: Dir) -> Option<NodeId> {
-    g.ports(v).iter().find(|&&h| input.half(h).dir() == Some(dir)).map(|&h| g.half_edge_peer(h))
 }
 
 /// The pointer-successor table of constraints 3a–3f (Section 4.4): may a

@@ -21,7 +21,7 @@
 //! `R = 2⌈log₂ n⌉ + 4`: the algorithm's gathering bound, trimmed at view
 //! saturation exactly as the LOCAL simulator does.
 
-use crate::checks::structure_errors;
+use crate::checks::{step, structure_errors};
 use crate::labels::{Dir, GadgetIn};
 use crate::psi::PsiOutput;
 use lcl_core::Labeling;
@@ -50,10 +50,6 @@ impl VerifierOutcome {
 pub fn gather_bound(known_n: usize) -> u32 {
     let log = usize::BITS - known_n.max(2).next_power_of_two().leading_zeros() - 1;
     2 * log + 4
-}
-
-fn step(g: &Graph, input: &Labeling<GadgetIn>, v: NodeId, dir: Dir) -> Option<NodeId> {
-    g.ports(v).iter().find(|&&h| input.half(h).dir() == Some(dir)).map(|&h| g.half_edge_peer(h))
 }
 
 /// Reusable visit-stamp buffer: avoids an `O(n)` allocation per chain walk

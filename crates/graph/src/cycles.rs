@@ -203,12 +203,6 @@ impl CycleSearch {
         dist[v.index()].map(|d| d + 1).filter(|&c| c <= cap)
     }
 
-    /// Length of a shortest cycle through node `v`.
-    #[must_use]
-    pub fn shortest_len_through_node(&self, g: &Graph, v: NodeId) -> Option<u32> {
-        g.ports(v).iter().filter_map(|h| self.shortest_len_through_edge(g, h.edge())).min()
-    }
-
     /// The canonically smallest cycle among the shortest cycles through `e`
     /// (at most `cap` of them are examined), or `None` if `e` lies on no
     /// cycle.

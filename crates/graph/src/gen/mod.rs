@@ -25,7 +25,7 @@ pub enum GenError {
         d: usize,
     },
     /// The randomized generator exhausted its retry budget (e.g. no simple
-    /// matching found, or the girth constraint was never met).
+    /// pairing found).
     RetriesExhausted {
         /// What constraint could not be met.
         what: &'static str,
@@ -292,32 +292,6 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Graph, GenError> 
         }
     }
     Err(GenError::RetriesExhausted { what: "simple pairing", attempts: ATTEMPTS })
-}
-
-/// A random simple `d`-regular graph with girth at least `min_girth`, by
-/// rejection sampling. Practical for small/medium `n` and `min_girth`
-/// (used by lower-bound probes); expect failures if you ask for girth
-/// `ω(1)` at large sizes where such graphs are rare.
-///
-/// # Errors
-///
-/// As [`random_regular`], plus [`GenError::RetriesExhausted`] when the girth
-/// constraint is not met within 2000 attempts.
-pub fn random_regular_with_girth(
-    n: usize,
-    d: usize,
-    min_girth: u32,
-    seed: u64,
-) -> Result<Graph, GenError> {
-    const ATTEMPTS: usize = 2000;
-    for i in 0..ATTEMPTS {
-        let g = random_regular(n, d, seed.wrapping_add(i as u64 * 0x1000_0001))?;
-        match crate::girth(&g) {
-            Some(gi) if gi < min_girth => continue,
-            _ => return Ok(g),
-        }
-    }
-    Err(GenError::RetriesExhausted { what: "girth constraint", attempts: ATTEMPTS })
 }
 
 /// `k` disjoint cycles of length `len` each (a disconnected 2-regular
@@ -687,12 +661,6 @@ mod tests {
         assert_eq!(a, b);
         let c = random_regular(40, 3, 8).unwrap();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn girth_constrained_generation() {
-        let g = random_regular_with_girth(60, 3, 5, 3).expect("generable");
-        assert!(girth(&g).is_none_or(|x| x >= 5));
     }
 
     #[test]

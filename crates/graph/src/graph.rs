@@ -521,11 +521,6 @@ impl Eq for Graph {}
 /// and `edges` endpoint pairs — so persisted graphs and goldens are
 /// byte-identical across the layout change.
 impl Serialize for Graph {
-    fn to_value(&self) -> Value {
-        let ports = Value::Seq(self.nodes().map(|v| self.ports(v).to_vec().to_value()).collect());
-        Value::Map(vec![("ports".to_string(), ports), ("edges".to_string(), self.edges.to_value())])
-    }
-
     fn stream(&self, sink: &mut dyn Sink) {
         sink.map_begin();
         sink.map_key("ports");
@@ -562,6 +557,11 @@ impl Deserialize for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `g`'s serialized tree, parsed back from its JSON bytes.
+    fn tree(g: &Graph) -> Value {
+        serde_json::from_str(&serde_json::to_string(g).unwrap()).unwrap()
+    }
 
     #[test]
     fn empty_graph() {
@@ -765,7 +765,7 @@ mod tests {
         let a = h.add_node();
         let b = h.add_node();
         h.add_edge(a, b);
-        let mut packed = Graph::from_value(&h.to_value()).unwrap();
+        let mut packed = Graph::from_value(&tree(&h)).unwrap();
         let slab_before = packed.port_slab_len();
         packed.compact();
         assert_eq!(packed.port_slab_len(), slab_before);
@@ -783,13 +783,13 @@ mod tests {
             let leaf = g.add_node();
             g.add_edge(hub, leaf); // hub's segment relocates repeatedly
         }
-        let packed = Graph::from_value(&g.to_value()).expect("own output re-ingests");
+        let packed = Graph::from_value(&tree(&g)).expect("own output re-ingests");
         assert_eq!(g, packed);
         assert_eq!(packed, g);
         // Port order is structure: the same edges with two of the hub's
         // ports renumbered (a consistent table, so it deserializes fine)
         // is a *different* port-numbered graph.
-        let Value::Map(mut entries) = g.to_value() else { panic!("map") };
+        let Value::Map(mut entries) = tree(&g) else { panic!("map") };
         let Value::Seq(tables) = &mut entries[0].1 else { panic!("seq") };
         let Value::Seq(hub_table) = &mut tables[hub.index()] else { panic!("seq") };
         hub_table.swap(0, 1);
@@ -803,7 +803,7 @@ mod tests {
         let a = g.add_node();
         let b = g.add_node();
         g.add_edge(a, b);
-        let v = g.to_value();
+        let v = tree(&g);
         let ports = v.field("ports").unwrap();
         let edges = v.field("edges").unwrap();
         assert_eq!(ports.seq_n(2).unwrap().len(), 2);
@@ -855,7 +855,7 @@ mod tests {
         let a = g.add_node();
         let b = g.add_node();
         g.add_edge(a, b);
-        let good = g.to_value();
+        let good = tree(&g);
         // Swap the two port tables: each half-edge now sits at the wrong
         // node.
         let Value::Map(mut entries) = good.clone() else { panic!("map") };

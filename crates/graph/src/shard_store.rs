@@ -500,17 +500,8 @@ impl ShardedSnapshot {
                 "manifest hash mismatch: stored {stored_hash}, computed {computed}"
             )));
         }
-        // The vendored serde shim deserializes into concrete types; a
-        // clone-through wrapper recovers the raw value tree.
-        struct RawValue(serde::Value);
-        impl serde::Deserialize for RawValue {
-            fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-                Ok(RawValue(v.clone()))
-            }
-        }
-        let v: serde::Value = serde_json::from_str::<RawValue>(&raw)
-            .map_err(|e| invalid(format!("manifest parse: {e}")))?
-            .0;
+        let v: serde::Value =
+            serde_json::from_str(&raw).map_err(|e| invalid(format!("manifest parse: {e}")))?;
         let bad = |what: &str| invalid(format!("manifest: {what}"));
         let uint = |v: &serde::Value, key: &str| -> io::Result<u64> {
             match v.field(key) {

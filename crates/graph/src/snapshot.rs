@@ -467,10 +467,7 @@ mod tests {
             let leaf = g.add_node();
             g.add_edge(hub, leaf);
         }
-        let packed = {
-            use serde::{Deserialize, Serialize};
-            Graph::from_value(&g.to_value()).unwrap()
-        };
+        let packed: Graph = serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
         assert!(g.port_slab_len() > 2 * g.edge_count());
         assert_eq!(g.content_hash(), packed.content_hash());
         // And a structurally different graph hashes differently.
@@ -613,7 +610,6 @@ mod tests {
             at in 0usize..1 << 16,
             value in 0u32..48,
         ) {
-            use serde::{Deserialize, Serialize};
             let g = &zoo()[pick];
             let p = tmp(&format!("mutant-{pick}-{at}-{value}"));
             let p2 = tmp(&format!("mutant-{pick}-{at}-{value}-twin"));
@@ -625,7 +621,8 @@ mod tests {
             let loaded = Graph::load_frozen(&p);
             fs::remove_file(&p).ok();
             if let Ok(back) = loaded {
-                let twin = Graph::from_value(&back.to_value()).unwrap();
+                let twin: Graph =
+                    serde_json::from_str(&serde_json::to_string(&back).unwrap()).unwrap();
                 twin.freeze(&p2).unwrap();
                 let refrozen = fs::read(&p2).unwrap();
                 fs::remove_file(&p2).ok();
