@@ -149,12 +149,22 @@ pub fn check<P: NeLcl>(
     assert!(output.fits(g), "output labeling does not fit the graph");
     let mut violations = Vec::new();
 
+    // One set of view buffers for every node: they hold references into
+    // `input` and `output`, and each node refills them.
+    let mut edges_in: Vec<&P::In> = Vec::new();
+    let mut edges_out: Vec<&P::Out> = Vec::new();
+    let mut halves_in: Vec<&P::In> = Vec::new();
+    let mut halves_out: Vec<&P::Out> = Vec::new();
     for v in g.nodes() {
         let ports = g.ports(v);
-        let edges_in: Vec<&P::In> = ports.iter().map(|h| input.edge(h.edge())).collect();
-        let edges_out: Vec<&P::Out> = ports.iter().map(|h| output.edge(h.edge())).collect();
-        let halves_in: Vec<&P::In> = ports.iter().map(|&h| input.half(h)).collect();
-        let halves_out: Vec<&P::Out> = ports.iter().map(|&h| output.half(h)).collect();
+        edges_in.clear();
+        edges_in.extend(ports.iter().map(|h| input.edge(h.edge())));
+        edges_out.clear();
+        edges_out.extend(ports.iter().map(|h| output.edge(h.edge())));
+        halves_in.clear();
+        halves_in.extend(ports.iter().map(|&h| input.half(h)));
+        halves_out.clear();
+        halves_out.extend(ports.iter().map(|&h| output.half(h)));
         let view = NodeView {
             degree: ports.len(),
             node_in: input.node(v),

@@ -1,10 +1,12 @@
 //! Criterion benchmarks for the graph substrate's hot primitives:
 //! shortest-cycle search (the inner loop of deterministic sinkless
-//! orientation), exact eccentricities (the bit-parallel kernel behind
-//! `diameter` and the gadget verifier's radii) on an expander and on a
-//! cycle, its worst case, and random 3-regular generation, rejected
-//! pairings included (its id names the edge count, so time / edges is the
-//! local ns per edge).
+//! orientation), exact eccentricities (the kernel behind `diameter` and
+//! the gadget verifier's radii) on an expander, on a cycle, its worst
+//! case, and on a grid, where its bounds settle next to nothing and the
+//! bit-parallel batches do the work (gadgets, which the bounds settle, are
+//! timed by lcl-bench's `verifier` bench), and random 3-regular
+//! generation, rejected pairings included (its id names the edge count, so
+//! time / edges is the local ns per edge).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcl_graph::{gen, CycleSearch, NodeId};
@@ -31,6 +33,11 @@ fn bench_primitives(c: &mut Criterion) {
         });
         let cycle = gen::cycle(n);
         group.bench_with_input(BenchmarkId::new("eccentricities-cycle", n), &cycle, |b, g| {
+            b.iter(|| lcl_graph::eccentricities(g));
+        });
+        let w = 1 << (n.ilog2() / 2);
+        let grid = gen::grid(w, n / w);
+        group.bench_with_input(BenchmarkId::new("eccentricities-grid", n), &grid, |b, g| {
             b.iter(|| lcl_graph::eccentricities(g));
         });
     }

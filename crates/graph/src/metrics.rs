@@ -66,8 +66,9 @@ pub(crate) fn dist_avoiding_edge(
 /// isolated node), indexed by node.
 ///
 /// One [`EccentricityKernel::component`] pass per component, all on the
-/// same scratch: `⌈|C| / 64⌉` bit-parallel BFS passes over each
-/// component `C`.
+/// same scratch: at most four single-source BFS that settle what nodes their
+/// bounds can, then `⌈u / 64⌉` bit-parallel BFS passes over the `u` nodes
+/// they leave unsettled.
 #[must_use]
 pub fn eccentricities(g: &Graph) -> Vec<u32> {
     let mut ecc = vec![0; g.node_count()];
@@ -82,30 +83,48 @@ pub fn eccentricities(g: &Graph) -> Vec<u32> {
 /// largest finite BFS distance in the graph. Returns 0 for graphs with at
 /// most one node per component.
 ///
-/// The maximum of [`eccentricities`]: exact, at `n / 64` BFS passes
-/// rather than one per node.
+/// The maximum of [`eccentricities`]: exact, at most four BFS per
+/// component plus `⌈u / 64⌉` bit-parallel passes over the `u` nodes their
+/// bounds leave unsettled (none on a balanced gadget), rather than one BFS
+/// per node.
 #[must_use]
 pub fn diameter(g: &Graph) -> u32 {
     eccentricities(g).into_iter().max().unwrap_or(0)
 }
 
-/// Exact eccentricities by multi-source bit-parallel BFS (Then et al.,
-/// "The More the Merrier: Efficient Multi-Source Graph Traversal",
-/// VLDB 2014).
+/// Exact eccentricities in two phases: eccentricity bounds from at most
+/// four single-source BFS (Takes & Kosters, "Computing the eccentricity
+/// distribution of large graphs", Algorithms 6(1), 2013), then multi-source
+/// bit-parallel BFS (Then et al., "The More the Merrier: Efficient
+/// Multi-Source Graph Traversal", VLDB 2014) over the nodes the bounds did
+/// not settle.
 ///
-/// A component's members are taken 64 at a time as BFS sources, one bit
-/// of a `u64` each, and the 64 searches advance together level by level:
-/// a node on the frontier forwards the bits of every source that reached
-/// it last level to each neighbor that has not yet seen them. A source's
-/// eccentricity is the last level at which its bit reached a new node.
-/// Each level walks only its frontier list, the nodes some source first
-/// reached on the level before, so a node's edges are scanned once per
-/// distinct distance at which the batch's sources reach it: at most 64
-/// times, and far fewer where the searches overlap.
+/// **Bounds.** A BFS from `s` gives `ecc(s)` exactly, and for every `w` it
+/// reaches, `max(d, ecc(s) − d) ≤ ecc(w) ≤ ecc(s) + d` with `d = d(s, w)`;
+/// a node whose lower and upper bounds meet is settled. The sources are a
+/// double sweep (the first member, its farthest node `a`, and `a`'s
+/// farthest node `b`) and the midpoint of the swept `a`–`b` path, each
+/// skipped if it was a source already. On a balanced gadget with `Δ ≥ 2`
+/// they settle every node: the midpoint is its Center, the only node of
+/// eccentricity `D / 2`, and every other node's eccentricity is `D / 2`
+/// plus its distance from the Center, which its distance from `a` or `b`
+/// reaches. A path with an even number of edges settles too. Elsewhere the
+/// batches take the rest: on expanders and cycles, nearly every node.
 ///
-/// The scratch (a local CSR copy of the component, the three bit tables
-/// and the two frontier lists) is reused across batches and components:
-/// keep one kernel per thread and feed it every component.
+/// **Batches.** The unsettled members are taken 64 at a time as BFS
+/// sources, one bit of a `u64` each, in `members` order, and the 64
+/// searches advance together level by level: a node on the frontier
+/// forwards the bits of every source that reached it last level to each
+/// neighbor that has not yet seen them. A source's eccentricity is the last
+/// level at which its bit reached a new node. Each level walks only its
+/// frontier list, the nodes some source first reached on the level before,
+/// so a node's edges are scanned once per distinct distance at which the
+/// batch's sources reach it: at most 64 times, and far fewer where the
+/// searches overlap.
+///
+/// The scratch (a local CSR copy of the component, the bound and distance
+/// tables, the three bit tables and the frontier lists) is reused across
+/// calls: keep one kernel per thread and feed it every component.
 #[derive(Clone, Debug, Default)]
 pub struct EccentricityKernel {
     /// Host node → its position in the current member list; only the
@@ -114,6 +133,15 @@ pub struct EccentricityKernel {
     /// The members' adjacency in local ids (CSR, self-loops dropped).
     offsets: Vec<u32>,
     adj: Vec<u32>,
+    /// Per local node: its eccentricity bounds; settled once they meet.
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+    /// Per local node: its distance from the last bounds-phase source
+    /// (`u32::MAX` if unreached), and that BFS's queue in visit order.
+    dist: Vec<u32>,
+    queue: Vec<u32>,
+    /// Members the bounds left unsettled: the batch sources, in order.
+    pending: Vec<u32>,
     /// Per local node: the batch sources whose search has reached it.
     seen: Vec<u64>,
     /// Per local node: the sources that reached it on the current level.
@@ -128,7 +156,8 @@ pub struct EccentricityKernel {
 impl EccentricityKernel {
     /// Writes `ecc[v.index()]`, the exact eccentricity of `v` within its
     /// component, for every `v` in `members`; other entries of `ecc` are
-    /// untouched. Sources are batched in `members` order, so list a
+    /// untouched. The bounds phase starts its double sweep at `members[0]`,
+    /// and the unsettled members are batched in `members` order, so list a
     /// component in BFS order (as [`Components::members`] does) to keep
     /// each batch's frontiers overlapping.
     ///
@@ -140,13 +169,21 @@ impl EccentricityKernel {
     pub fn component(&mut self, g: &Graph, members: &[NodeId], ecc: &mut [u32]) {
         let k = members.len();
         self.load(g, members);
-        let Self { offsets, adj, seen, visit, next, frontier, next_frontier, .. } = self;
-        for (b, batch) in members.chunks(64).enumerate() {
-            let first = b * 64;
-            for bit in 0..batch.len() {
-                seen[first + bit] = 1 << bit;
-                visit[first + bit] = 1 << bit;
-                frontier.push((first + bit) as u32);
+        self.bound();
+        self.pending.clear();
+        for (i, &v) in members.iter().enumerate() {
+            if self.settled(i) {
+                ecc[v.index()] = self.lo[i];
+            } else {
+                self.pending.push(i as u32);
+            }
+        }
+        let Self { offsets, adj, pending, seen, visit, next, frontier, next_frontier, .. } = self;
+        for batch in pending.chunks(64) {
+            for (bit, &s) in batch.iter().enumerate() {
+                seen[s as usize] = 1 << bit;
+                visit[s as usize] = 1 << bit;
+                frontier.push(s);
             }
             let mut last = [0u32; 64];
             let mut level = 0;
@@ -178,14 +215,88 @@ impl EccentricityKernel {
                 std::mem::swap(frontier, next_frontier);
             }
             for (&s, &e) in batch.iter().zip(&last) {
-                ecc[s.index()] = e;
+                ecc[members[s as usize].index()] = e;
             }
             seen[..k].fill(0);
         }
     }
 
-    /// Copies the members' adjacency into local ids and sizes the bit
-    /// tables (all zero on return).
+    /// The bounds phase, as the type docs describe it.
+    fn bound(&mut self) {
+        if self.lo.is_empty() {
+            return;
+        }
+        let a = self.sweep(0);
+        if a == 0 {
+            return; // a single node
+        }
+        let b = self.sweep(a);
+        let m = self.midpoint(b);
+        if b != 0 {
+            self.sweep(b);
+        }
+        if m != 0 && m != a {
+            self.sweep(m);
+        }
+    }
+
+    /// BFS from local node `s`: tightens the bounds of every node it
+    /// reaches and leaves the distances in `dist`. Returns the last node
+    /// reached, a farthest one.
+    fn sweep(&mut self, s: usize) -> usize {
+        let Self { offsets, adj, lo, hi, dist, queue, .. } = self;
+        for &v in queue.iter() {
+            dist[v as usize] = u32::MAX;
+        }
+        queue.clear();
+        dist[s] = 0;
+        queue.push(s as u32);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let v = v as usize;
+            let d = dist[v] + 1;
+            for &w in &adj[offsets[v] as usize..offsets[v + 1] as usize] {
+                if dist[w as usize] == u32::MAX {
+                    dist[w as usize] = d;
+                    queue.push(w);
+                }
+            }
+        }
+        let far = *queue.last().expect("the source is queued") as usize;
+        let e = dist[far];
+        for &w in queue.iter() {
+            let w = w as usize;
+            let d = dist[w];
+            lo[w] = lo[w].max(d).max(e - d);
+            hi[w] = hi[w].min(e.saturating_add(d));
+        }
+        far
+    }
+
+    /// The node at distance `⌊d / 2⌋` from the last BFS source on a
+    /// shortest path to `b`, where `d` is `b`'s distance from that source.
+    fn midpoint(&self, b: usize) -> usize {
+        let half = self.dist[b] / 2;
+        let mut v = b;
+        while self.dist[v] > half {
+            let nbrs = &self.adj[self.offsets[v] as usize..self.offsets[v + 1] as usize];
+            v = nbrs
+                .iter()
+                .find(|&&w| self.dist[w as usize] < self.dist[v])
+                .copied()
+                .expect("a reached node other than the source has a neighbor one level closer")
+                as usize;
+        }
+        v
+    }
+
+    fn settled(&self, v: usize) -> bool {
+        self.lo[v] == self.hi[v]
+    }
+
+    /// Copies the members' adjacency into local ids and sizes the tables:
+    /// bit tables zero, bounds `[0, u32::MAX]`, distances unreached.
     fn load(&mut self, g: &Graph, members: &[NodeId]) {
         let k = members.len();
         assert!(u32::try_from(k).is_ok(), "member count exceeds u32");
@@ -216,6 +327,13 @@ impl EccentricityKernel {
             table.clear();
             table.resize(k, 0);
         }
+        for (table, init) in
+            [(&mut self.lo, 0), (&mut self.hi, u32::MAX), (&mut self.dist, u32::MAX)]
+        {
+            table.clear();
+            table.resize(k, init);
+        }
+        self.queue.clear();
     }
 }
 
@@ -223,7 +341,8 @@ impl EccentricityKernel {
 /// then BFS from a farthest node found; the largest distance seen is a
 /// lower bound on the true diameter (exact on trees, and within a factor 2
 /// always). Linear time — use for large experiment instances where even
-/// [`diameter`]'s `n / 64` bit-parallel BFS passes are too slow.
+/// [`diameter`]'s `⌈n / 64⌉` bit-parallel BFS passes on graphs its bounds
+/// cannot settle are too slow.
 #[must_use]
 pub fn diameter_estimate(g: &Graph) -> u32 {
     let mut best = 0;
@@ -336,6 +455,65 @@ mod tests {
         let mut want = vec![65; 130];
         want.extend([2, 1, 2]);
         assert_eq!(eccentricities(&g), want);
+    }
+
+    /// Runs the kernel on every component of `g`; returns the
+    /// eccentricities and how many members the bounds left to the batches.
+    fn kernel_run(g: &Graph) -> (Vec<u32>, usize) {
+        let mut ecc = vec![u32::MAX; g.node_count()];
+        let mut kernel = EccentricityKernel::default();
+        let mut batched = 0;
+        for members in Components::new(g).iter() {
+            kernel.component(g, members, &mut ecc);
+            batched += kernel.pending.len();
+        }
+        (ecc, batched)
+    }
+
+    fn per_node_bfs(g: &Graph) -> Vec<u32> {
+        g.nodes().map(|v| bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0)).collect()
+    }
+
+    /// A complete binary tree whose levels are joined into paths: the
+    /// shape of a gadget's sub-trees.
+    fn tree_with_level_paths(height: u32) -> Graph {
+        let mut g = gen::complete_binary_tree(height);
+        for l in 1..height {
+            for x in (1u32 << l)..(2u32 << l) - 1 {
+                g.add_edge(NodeId(x - 1), NodeId(x));
+            }
+        }
+        g
+    }
+
+    /// A balanced gadget's shape: a center joined to the roots of `delta`
+    /// such trees of the given height.
+    fn gadget_shape(delta: usize, height: u32) -> Graph {
+        let mut g = Graph::new();
+        let center = g.add_node();
+        for _ in 0..delta {
+            let root = g.append(&tree_with_level_paths(height));
+            g.add_edge(center, root);
+        }
+        g
+    }
+
+    #[test]
+    fn bounds_settle_balanced_gadgets_and_even_paths() {
+        let mut shapes: Vec<Graph> = [1, 3, 7, 301].map(gen::path).into();
+        for delta in 2..=5 {
+            shapes.extend((1..=8).map(|h| gadget_shape(delta, h)));
+        }
+        for g in &shapes {
+            let (ecc, batched) = kernel_run(g);
+            assert_eq!(batched, 0, "the batches got a source on {} nodes", g.node_count());
+            assert_eq!(ecc, per_node_bfs(g));
+        }
+    }
+
+    #[test]
+    fn cycles_fall_back_to_the_batches() {
+        assert!(kernel_run(&gen::cycle(64)).1 > 0, "nothing reached the batches");
     }
 
     #[test]

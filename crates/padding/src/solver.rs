@@ -303,8 +303,10 @@ where
             .collect();
         let output = Labeling::from_parts(node_out, edge_out, half_out);
 
-        // (7) Cost accounting: every valid gadget's exact diameter, one
-        // bit-parallel eccentricity pass per gadget, fanned out too.
+        // (7) Cost accounting: every valid gadget's exact diameter, fanned
+        // out too. The kernel's bounds settle a balanced gadget with Δ ≥ 2
+        // in at most four BFS, so its bit-parallel batches run only on
+        // gadgets of Δ = 1 or with sub-gadgets of unequal heights.
         let gadget_diameter = exec
             .map_nodes(comps.len(), |c| {
                 if vid_of_comp[c].is_some() {
